@@ -83,14 +83,6 @@ def matmul(ring, x, y):
     return np.stack((x1 @ y1 - x2 @ y2.conj(), x1 @ y2 + x2 @ y1.conj()), axis=-1)
 
 
-def matvec(ring, a, v):
-    if ring != RING_QUATERNION:
-        return a @ v
-    a1, a2 = a[..., 0], a[..., 1]
-    v1, v2 = v[..., 0], v[..., 1]
-    return np.stack((a1 @ v1 - a2 @ v2.conj(), a1 @ v2 + a2 @ v1.conj()), axis=-1)
-
-
 def vdot(ring, x, y):
     """x^H y with the conjugation on the left operand."""
     if ring == RING_REAL:

@@ -6,12 +6,13 @@ gain adjacency matrix: with p(B) components and c(B) cycles,
 
     c_i    = sum over basic subgraphs B on i vertices of
              (-1)**p(B) * 2**c(B) * R(B),
-    Mdet(A) = sum over spanning basic subgraphs B of
-             (-1)**(n + p(B)) * 2**c(B) * R(B),
+    Mdet(A) = (-1)**n * c_n = sum over spanning basic subgraphs B of
+              (-1)**(n + p(B)) * 2**c(B) * R(B),
 
 where R(C) is the real part (a dual number) of the walk gain around a cycle
 (independent of start and direction) and R(B) the product over its cycles.
-Enumeration is explicit and capped at 12 vertices.
+Enumeration is explicit and capped at 12 vertices; one pass over the basic
+subgraphs yields every coefficient.
 """
 
 from __future__ import annotations
@@ -81,86 +82,86 @@ def enumerate_cycles(graph: UnderlyingGraph, size_cap: int = SIZE_CAP) -> list[t
     adj = {v: graph.neighbors(v) for v in range(graph.n)}
     cycles = []
 
-    def extend(path, allowed):
+    def extend(path):
         head = path[0]
-        tail = path[-1]
-        for nxt in adj[tail]:
+        for nxt in adj[path[-1]]:
             if nxt == head and len(path) >= 3:
                 if path[1] < path[-1]:
                     cycles.append(tuple(path))
-            elif nxt in allowed and nxt not in path and nxt > head:
-                extend(path + [nxt], allowed)
+            elif nxt > head and nxt not in path:
+                extend(path + [nxt])
 
     for root in range(graph.n):
-        extend([root], set(range(root + 1, graph.n)))
+        extend([root])
     cycles.sort()
     return cycles
+
+
+def _basic_parts(graph: UnderlyingGraph, cycles, size=None):
+    """Yield (vertex count, edges, cycles) once per basic subgraph of
+    `graph` whose cycles come from `cycles`; with `size`, only those on
+    exactly `size` vertices, pruning branches that cannot reach it."""
+    n = graph.n
+    adj = [graph.neighbors(v) for v in range(n)]
+    cycles_by_min = {}
+    for cyc in cycles:
+        cycles_by_min.setdefault(cyc[0], []).append(cyc)
+    # vertex v, covered vertices, vertices left uncovered so far, components
+    stack = [(0, frozenset(), 0, (), ())]
+    while stack:
+        v, used, skipped, edges, cycs = stack.pop()
+        if size is not None and not len(used) <= size <= n - skipped:
+            continue
+        if v == n:
+            yield n - skipped, edges, cycs
+            continue
+        if v in used:
+            stack.append((v + 1, used, skipped, edges, cycs))
+            continue
+        # v stays uncovered
+        stack.append((v + 1, used, skipped + 1, edges, cycs))
+        # v is the smaller endpoint of a single-edge component
+        for w in adj[v]:
+            if w > v and w not in used:
+                stack.append((v + 1, used | {v, w}, skipped, edges + ((v, w),), cycs))
+        # v is the minimal vertex of a cycle component
+        for cyc in cycles_by_min.get(v, ()):
+            if used.isdisjoint(cyc):
+                stack.append((v + 1, used.union(cyc), skipped, edges, cycs + (cyc,)))
 
 
 def enumerate_basic_subgraphs(graph: UnderlyingGraph, i: int,
                               size_cap: int = SIZE_CAP) -> list[BasicSubgraph]:
     """All basic subgraphs covering exactly i vertices, in deterministic
     order."""
-    if graph.n > size_cap:
-        raise SizeCapExceededError(f"n={graph.n} exceeds the size cap {size_cap}")
+    cycles = enumerate_cycles(graph, size_cap)
     if not 0 <= i <= graph.n:
         raise ValueError(f"vertex count {i} out of range")
-    adj = {v: graph.neighbors(v) for v in range(graph.n)}
-    all_cycles = enumerate_cycles(graph, size_cap)
-    cycles_by_min = {}
-    for cyc in all_cycles:
-        cycles_by_min.setdefault(cyc[0], []).append(cyc)
-
-    out = []
-
-    def recurse(v, used, edges, cycles):
-        if len(used) > i:
-            return
-        if v == graph.n:
-            if len(used) == i:
-                out.append(BasicSubgraph(tuple(edges), tuple(cycles)))
-            return
-        if v in used:
-            recurse(v + 1, used, edges, cycles)
-            return
-        # v stays uncovered
-        recurse(v + 1, used, edges, cycles)
-        # v is the smaller endpoint of a single-edge component
-        for w in adj[v]:
-            if w > v and w not in used:
-                recurse(v + 1, used | {v, w}, edges + [(v, w)], cycles)
-        # v is the minimal vertex of a cycle component
-        for cyc in cycles_by_min.get(v, ()):
-            cyc_set = set(cyc)
-            if cyc_set & used:
-                continue
-            recurse(v + 1, used | cyc_set, edges, cycles + [cyc])
-
-    recurse(0, frozenset(), [], [])
+    out = [BasicSubgraph(edges, cycs) for _, edges, cycs in _basic_parts(graph, cycles, i)]
     out.sort(key=lambda b: (b.edges, b.cycles))
     return out
+
+
+def _weighted_sums(phi: GainGraph, size_cap: int, size=None) -> list[DualNumber]:
+    """Entry i is the sum of (-1)**p(B) * 2**c(B) * R(B) over the basic
+    subgraphs B on i vertices (only entry `size` is filled when given)."""
+    cycles = enumerate_cycles(phi.graph, size_cap)
+    real_gains = {cyc: real_gain_of_cycle(phi, cyc).value for cyc in cycles}
+    sums = [DualNumber.zero() for _ in range(phi.n + 1)]
+    for count, edges, cycs in _basic_parts(phi.graph, cycles, size):
+        term = DualNumber(float(2 ** len(cycs)), 0.0)
+        if (len(edges) + len(cycs)) % 2:
+            term = -term
+        for cyc in cycs:
+            term = term * real_gains[cyc]
+        sums[count] = sums[count] + term
+    return sums
 
 
 def coefficients(phi: GainGraph, size_cap: int = SIZE_CAP) -> list[DualNumber]:
     """Characteristic-polynomial coefficients c_1..c_n of the adjacency
     matrix, as dual numbers (x**n + c_1 x**(n-1) + ... + c_n)."""
-    n = phi.n
-    if n > size_cap:
-        raise SizeCapExceededError(f"n={n} exceeds the size cap {size_cap}")
-    real_gains = {cyc: real_gain_of_cycle(phi, cyc).value
-                  for cyc in enumerate_cycles(phi.graph, size_cap)}
-    out = []
-    for i in range(1, n + 1):
-        acc = DualNumber.zero()
-        for basic in enumerate_basic_subgraphs(phi.graph, i, size_cap):
-            term = DualNumber(float(2 ** basic.cycle_count), 0.0)
-            if basic.component_count % 2:
-                term = -term
-            for cyc in basic.cycles:
-                term = term * real_gains[cyc]
-            acc = acc + term
-        out.append(acc)
-    return out
+    return _weighted_sums(phi, size_cap)[1:]
 
 
 def char_poly_from_eigenvalues(values) -> list[DualNumber]:
@@ -180,17 +181,9 @@ def char_poly_from_eigenvalues(values) -> list[DualNumber]:
 
 
 def mdet_via_subgraphs(phi: GainGraph, size_cap: int = SIZE_CAP) -> DualScalar:
-    """Moore determinant of the adjacency matrix as the spanning
-    basic-subgraph sum; an empty sum gives zero."""
+    """Moore determinant of the adjacency matrix, (-1)**n * c_n: the
+    spanning basic-subgraph sum; an empty sum gives zero."""
     n = phi.n
-    if n > size_cap:
-        raise SizeCapExceededError(f"n={n} exceeds the size cap {size_cap}")
-    acc = DualNumber.zero()
-    for basic in enumerate_basic_subgraphs(phi.graph, n, size_cap):
-        term = DualNumber(float(2 ** basic.cycle_count), 0.0)
-        if (n + basic.component_count) % 2:
-            term = -term
-        for cyc in basic.cycles:
-            term = term * real_gain_of_cycle(phi, cyc).value
-        acc = acc + term
-    return acc.to_scalar(phi.ring)
+    spanning = _weighted_sums(phi, size_cap, n)[n]
+    # 0 - x rather than -x keeps an empty odd-n sum at +0
+    return (DualNumber.zero() - spanning if n % 2 else spanning).to_scalar(phi.ring)

@@ -8,6 +8,7 @@ found a property violation, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,23 +22,16 @@ from .scalars import (
     DualScalar,
     RING_COMPLEX,
     RING_QUATERNION,
-    RING_REAL,
     RINGS,
     parse_dual_scalar,
     render_dual_scalar,
 )
-
-CHECK_SUITES = ("interlacing", "switching-invariance", "radius-bounds",
-                "mdet-product", "coefficient", "dq2dc", "closed-forms")
+from .transcendental import reduce_to_complex
 
 
 def _fmt_dual(v: DualNumber) -> str:
     sign = "+" if v.dual >= 0 else "-"
     return f"{v.std:.12g} {sign} {abs(v.dual):.12g}·eps"
-
-
-def _fmt_scalar(a: DualScalar) -> str:
-    return render_dual_scalar(a)
 
 
 def _emit(args, text: str) -> None:
@@ -55,6 +49,11 @@ def _emit_report(args, payload: dict, table: str) -> None:
         _emit(args, table)
 
 
+def _emit_spectrum(args, title: str, spec) -> None:
+    lines = [title] + [f"  {_fmt_dual(v)}" for v in spec.values]
+    _emit_report(args, spec.to_dict(), "\n".join(lines))
+
+
 def _load(args) -> GainGraph:
     return graph_io.load(args.file, tol=args.tol)
 
@@ -66,9 +65,7 @@ def _load(args) -> GainGraph:
 def _cmd_spectrum(args) -> int:
     phi = _load(args)
     spec = spectra.spectrum(phi, args.matrix, with_vectors=False)
-    lines = [f"{args.matrix} spectrum ({len(spec)} eigenvalues, descending):"]
-    lines += [f"  {_fmt_dual(v)}" for v in spec.values]
-    _emit_report(args, spec.to_dict(), "\n".join(lines))
+    _emit_spectrum(args, f"{args.matrix} spectrum ({len(spec)} eigenvalues, descending):", spec)
     return 0
 
 
@@ -77,9 +74,9 @@ def _cmd_balance(args) -> int:
     cert = phi.balance_certificate(args.tol)
     if cert.balanced:
         payload = {"balanced": True,
-                   "theta": [_fmt_scalar(t) for t in cert.theta]}
+                   "theta": [render_dual_scalar(t) for t in cert.theta]}
         lines = ["balanced"]
-        lines += [f"  theta[{i}] = {_fmt_scalar(t)}" for i, t in enumerate(cert.theta)]
+        lines += [f"  theta[{i}] = {render_dual_scalar(t)}" for i, t in enumerate(cert.theta)]
     else:
         payload = {"balanced": False, "witness_cycle": list(cert.witness_cycle)}
         lines = ["unbalanced",
@@ -158,8 +155,8 @@ def _cmd_mdet(args) -> int:
         "via_subgraphs": {"std": list(via.components()[0]),
                           "dual": list(via.components()[1])},
     }
-    lines = [f"Moore determinant (permutation sum): {_fmt_scalar(direct)}",
-             f"Moore determinant (basic subgraphs): {_fmt_scalar(via)}"]
+    lines = [f"Moore determinant (permutation sum): {render_dual_scalar(direct)}",
+             f"Moore determinant (basic subgraphs): {render_dual_scalar(via)}"]
     _emit_report(args, payload, "\n".join(lines))
     return 0
 
@@ -167,18 +164,14 @@ def _cmd_mdet(args) -> int:
 def _cmd_cycle(args) -> int:
     gain = parse_dual_scalar(args.gain, args.ring)
     spec = spectra.cycle_spectrum_closed_form(args.n, gain, args.matrix, tol=args.tol)
-    lines = [f"closed-form {args.matrix} spectrum of the {args.n}-cycle "
-             f"with gain {_fmt_scalar(gain)}:"]
-    lines += [f"  {_fmt_dual(v)}" for v in spec.values]
-    _emit_report(args, spec.to_dict(), "\n".join(lines))
+    _emit_spectrum(args, f"closed-form {args.matrix} spectrum of the {args.n}-cycle "
+                         f"with gain {render_dual_scalar(gain)}:", spec)
     return 0
 
 
 def _cmd_path(args) -> int:
     spec = spectra.path_spectrum_closed_form(args.n, args.matrix)
-    lines = [f"closed-form {args.matrix} spectrum of the {args.n}-path:"]
-    lines += [f"  {_fmt_dual(v)}" for v in spec.values]
-    _emit_report(args, spec.to_dict(), "\n".join(lines))
+    _emit_spectrum(args, f"closed-form {args.matrix} spectrum of the {args.n}-path:", spec)
     return 0
 
 
@@ -188,29 +181,18 @@ def _cmd_generate(args) -> int:
         gain = parse_dual_scalar(args.gain, args.ring)
     phi = graph_io.generate(args.family, n=args.n, ring=args.ring, gain=gain,
                             p=args.p, seed=args.seed)
-    text = graph_io.serialize(phi)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, graph_io.serialize(phi))
     return 0
 
 
 def _cmd_convert(args) -> int:
     phi = _load(args)
     if args.ring:
-        order = {RING_REAL: 0, RING_COMPLEX: 1, RING_QUATERNION: 2}
-        if order[args.ring] < order[phi.ring]:
+        if RINGS.index(args.ring) < RINGS.index(phi.ring):
             raise BadParameterError(f"cannot narrow {phi.ring} to {args.ring}")
         gains = {(u, v): g.widen(args.ring) for u, v, g in phi.gains()}
         phi = GainGraph(phi.graph, args.ring, gains)
-    text = graph_io.serialize(phi)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, graph_io.serialize(phi))
     return 0
 
 
@@ -224,111 +206,90 @@ def _spectra_close(a, b, tol):
         for x, y in zip(a, b))
 
 
-def _trial_rng(seed, trial):
-    return np.random.default_rng([seed, trial])
+_KINDS = (spectra.KIND_ADJACENCY, spectra.KIND_LAPLACIAN)
 
 
-def _ring_for_trial(trial):
-    return RINGS[trial % 3]
+def _random_connected(rng, ring, lo, hi):
+    """A random connected gain graph on lo..hi-1 vertices."""
+    n = int(rng.integers(lo, hi))
+    return sampling.random_gain_graph(
+        rng, sampling.random_connected_graph(rng, n, int(rng.integers(0, 3))), ring)
 
 
-def _suite_interlacing(trials, seed):
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        ring = _ring_for_trial(trial)
-        n = int(rng.integers(3, 9))
-        phi = sampling.random_gain_graph(
-            rng, sampling.random_connected_graph(rng, n, int(rng.integers(0, 3))), ring)
-        k = int(rng.integers(1, n))
-        subset = sorted(rng.choice(n, size=k, replace=False).tolist())
-        for kind in (spectra.KIND_ADJACENCY, spectra.KIND_LAPLACIAN):
-            if not spectra.check_interlacing(phi, subset, kind).holds:
-                return trial, phi, f"{kind} interlacing violated on subset {subset}"
+# Each trial function takes (rng, trial) and returns None when the trial
+# passes, or (counterexample graph or None, message) when it fails.
+
+
+def _trial_interlacing(rng, trial):
+    phi = _random_connected(rng, RINGS[trial % 3], 3, 9)
+    k = int(rng.integers(1, phi.n))
+    subset = sorted(rng.choice(phi.n, size=k, replace=False).tolist())
+    for kind in _KINDS:
+        if not spectra.check_interlacing(phi, subset, kind).holds:
+            return phi, f"{kind} interlacing violated on subset {subset}"
     return None
 
 
-def _suite_switching(trials, seed):
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        ring = _ring_for_trial(trial)
-        n = int(rng.integers(3, 9))
-        phi = sampling.random_gain_graph(
-            rng, sampling.random_connected_graph(rng, n, int(rng.integers(0, 3))), ring)
-        switched = phi.switch(sampling.random_switching(rng, ring, n))
-        for kind in (spectra.KIND_ADJACENCY, spectra.KIND_LAPLACIAN):
-            before = spectra.spectrum(phi, kind, with_vectors=False).values
-            after = spectra.spectrum(switched, kind, with_vectors=False).values
-            if not _spectra_close(before, after, 1e-9):
-                return trial, phi, f"{kind} spectrum changed under switching"
+def _trial_switching(rng, trial):
+    ring = RINGS[trial % 3]
+    phi = _random_connected(rng, ring, 3, 9)
+    switched = phi.switch(sampling.random_switching(rng, ring, phi.n))
+    for kind in _KINDS:
+        before = spectra.spectrum(phi, kind, with_vectors=False).values
+        after = spectra.spectrum(switched, kind, with_vectors=False).values
+        if not _spectra_close(before, after, 1e-9):
+            return phi, f"{kind} spectrum changed under switching"
     return None
 
 
-def _suite_radius_bounds(trials, seed):
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        ring = _ring_for_trial(trial)
-        n = int(rng.integers(3, 9))
-        phi = sampling.random_gain_graph(
-            rng, sampling.random_connected_graph(rng, n, int(rng.integers(0, 3))), ring)
-        for kind in (spectra.KIND_ADJACENCY, spectra.KIND_LAPLACIAN):
-            report = spectra.radius_report(phi, kind)
-            if not (report.bound_holds and report.delta_bound_holds):
-                return trial, phi, f"{kind} radius bound violated"
-            if report.rho_graph > report.delta_bound + 1e-12:
-                return trial, phi, f"{kind} underlying radius exceeds degree bound"
-            if report.consistent is False:
-                return trial, phi, f"{kind} equality and balance disagree"
+def _trial_radius_bounds(rng, trial):
+    phi = _random_connected(rng, RINGS[trial % 3], 3, 9)
+    for kind in _KINDS:
+        report = spectra.radius_report(phi, kind)
+        if not (report.bound_holds and report.delta_bound_holds):
+            return phi, f"{kind} radius bound violated"
+        if report.rho_graph > report.delta_bound + 1e-12:
+            return phi, f"{kind} underlying radius exceeds degree bound"
+        if report.consistent is False:
+            return phi, f"{kind} equality and balance disagree"
     return None
 
 
-def _suite_mdet_product(trials, seed):
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        ring = _ring_for_trial(trial)
-        n = int(rng.integers(2, 7))
-        phi = sampling.random_gain_graph(
-            rng, sampling.random_connected_graph(rng, n, int(rng.integers(0, 3))), ring)
-        a = spectra.adjacency_matrix(phi)
-        direct = linalg.moore_determinant(a).real_part()
-        via = char_poly.mdet_via_subgraphs(phi).real_part()
-        prod = DualNumber.one()
-        for v in spectra.spectrum(phi, with_vectors=False).values:
-            prod = prod * v
-        if not (direct.allclose(via, 1e-8) and direct.allclose(prod, 1e-8)):
-            return trial, phi, "Moore determinant disagreement"
+def _trial_mdet_product(rng, trial):
+    phi = _random_connected(rng, RINGS[trial % 3], 2, 7)
+    direct = linalg.moore_determinant(spectra.adjacency_matrix(phi)).real_part()
+    via = char_poly.mdet_via_subgraphs(phi).real_part()
+    prod = DualNumber.one()
+    for v in spectra.spectrum(phi, with_vectors=False).values:
+        prod = prod * v
+    if not (direct.allclose(via, 1e-8) and direct.allclose(prod, 1e-8)):
+        return phi, "Moore determinant disagreement"
     return None
 
 
-def _suite_coefficient(trials, seed):
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        ring = _ring_for_trial(trial)
-        n = int(rng.integers(2, 8))
-        phi = sampling.random_gain_graph(
-            rng, sampling.random_connected_graph(rng, n, int(rng.integers(0, 3))), ring)
-        coeffs = char_poly.coefficients(phi)
-        eig = spectra.spectrum(phi, with_vectors=False).values
-        expected = char_poly.char_poly_from_eigenvalues(eig)
-        if not all(c.allclose(e, 1e-8) for c, e in zip(coeffs, expected)):
-            return trial, phi, "coefficient theorem disagreement"
+def _trial_coefficient(rng, trial):
+    phi = _random_connected(rng, RINGS[trial % 3], 2, 8)
+    coeffs = char_poly.coefficients(phi)
+    eig = spectra.spectrum(phi, with_vectors=False).values
+    expected = char_poly.char_poly_from_eigenvalues(eig)
+    if not all(c.allclose(e, 1e-8) for c, e in zip(coeffs, expected)):
+        return phi, "coefficient theorem disagreement"
     return None
 
 
-def _suite_dq2dc(trials, seed):
-    from .transcendental import reduce_to_complex
+_DQ_KINDS = ("generic", "real_std", "complex_form", "dual_real", "negative_i_axis")
 
-    kinds = ("generic", "real_std", "complex_form", "dual_real", "negative_i_axis")
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        q = sampling.random_dual_quaternion(rng, kinds[trial % len(kinds)])
-        a, u = reduce_to_complex(q)
-        residual = a.widen(RING_QUATERNION) - u.conjugate() * q * u
-        ok = (max(abs(c) for part in residual.components() for c in part) <= 1e-12
-              and u.is_unit(1e-12)
-              and a.real_part().allclose(q.real_part(), 1e-12)
-              and _imag_magnitude(a).allclose(_imag_magnitude(q), 1e-12))
-        if not ok:
-            return trial, None, f"reduction failed for {render_dual_scalar(q)}"
+
+def _trial_dq2dc(rng, trial):
+    q = sampling.random_dual_quaternion(rng, _DQ_KINDS[trial % len(_DQ_KINDS)])
+    a, u = reduce_to_complex(q)
+    residual = a.widen(RING_QUATERNION) - u.conjugate() * q * u
+    ok = (max(abs(c) for part in residual.components() for c in part) <= 1e-12
+          and u.is_unit(1e-12)
+          and a.real_part().allclose(q.real_part(), 1e-12)
+          and _imag_magnitude(a).allclose(_imag_magnitude(q), 1e-12))
+    if not ok:
+        return None, f"reduction failed for {render_dual_scalar(q)}"
     return None
 
 
@@ -337,52 +298,61 @@ def _imag_magnitude(x: DualScalar) -> DualNumber:
     return (x - re.to_scalar(x.ring)).magnitude()
 
 
-def _suite_closed_forms(trials, seed):
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        ring = _ring_for_trial(trial)
-        n = int(rng.integers(3, 11))
-        cyc = sampling.random_gain_graph(
-            rng, graph_io.cycle_graph(n, DualScalar.one(ring)).graph, ring)
-        q = cyc.gain_of_walk(list(range(n)) + [0])
-        tol = 1e-8 if ring == RING_QUATERNION else 1e-9
-        for kind in (spectra.KIND_ADJACENCY, spectra.KIND_LAPLACIAN):
-            closed = spectra.cycle_spectrum_closed_form(n, q, kind).values
-            dense = spectra.spectrum(cyc, kind, with_vectors=False).values
-            if not _spectra_close(closed, dense, tol):
-                return trial, cyc, f"cycle {kind} closed form disagrees"
-        pat = sampling.random_gain_graph(rng, graph_io.path_graph(n, ring).graph, ring)
-        for kind in (spectra.KIND_ADJACENCY, spectra.KIND_LAPLACIAN):
-            closed = spectra.path_spectrum_closed_form(n, kind).values
-            dense = spectra.spectrum(pat, kind, with_vectors=False).values
-            if not _spectra_close(closed, dense, 1e-9):
-                return trial, pat, f"path {kind} closed form disagrees"
+def _trial_closed_forms(rng, trial):
+    ring = RINGS[trial % 3]
+    n = int(rng.integers(3, 11))
+    cyc = sampling.random_gain_graph(
+        rng, graph_io.cycle_graph(n, DualScalar.one(ring)).graph, ring)
+    q = cyc.gain_of_walk(list(range(n)) + [0])
+    tol = 1e-8 if ring == RING_QUATERNION else 1e-9
+    for kind in _KINDS:
+        closed = spectra.cycle_spectrum_closed_form(n, q, kind).values
+        dense = spectra.spectrum(cyc, kind, with_vectors=False).values
+        if not _spectra_close(closed, dense, tol):
+            return cyc, f"cycle {kind} closed form disagrees"
+    pat = sampling.random_gain_graph(rng, graph_io.path_graph(n, ring).graph, ring)
+    for kind in _KINDS:
+        closed = spectra.path_spectrum_closed_form(n, kind).values
+        dense = spectra.spectrum(pat, kind, with_vectors=False).values
+        if not _spectra_close(closed, dense, 1e-9):
+            return pat, f"path {kind} closed form disagrees"
     return None
 
 
-_SUITES = {
-    "interlacing": _suite_interlacing,
-    "switching-invariance": _suite_switching,
-    "radius-bounds": _suite_radius_bounds,
-    "mdet-product": _suite_mdet_product,
-    "coefficient": _suite_coefficient,
-    "dq2dc": _suite_dq2dc,
-    "closed-forms": _suite_closed_forms,
-}
+def _run_suite(trial_fn, trials, seed):
+    """(failed trial, graph or None, message) for the first failing trial,
+    or None when all pass; trial t draws from the generator [seed, t]."""
+    for trial in range(trials):
+        failure = trial_fn(np.random.default_rng([seed, trial]), trial)
+        if failure is not None:
+            return (trial, *failure)
+    return None
+
+
+_SUITES = {name: functools.partial(_run_suite, trial_fn) for name, trial_fn in {
+    "interlacing": _trial_interlacing,
+    "switching-invariance": _trial_switching,
+    "radius-bounds": _trial_radius_bounds,
+    "mdet-product": _trial_mdet_product,
+    "coefficient": _trial_coefficient,
+    "dq2dc": _trial_dq2dc,
+    "closed-forms": _trial_closed_forms,
+}.items()}
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        raise BadParameterError(f"--trials must be at least 1, got {args.trials}")
     failure = _SUITES[args.suite](args.trials, args.seed)
+    payload = {"suite": args.suite, "trials": args.trials}
     if failure is None:
-        payload = {"suite": args.suite, "trials": args.trials,
-                   "passes": args.trials, "failures": 0}
+        payload.update(passes=args.trials, failures=0)
         _emit_report(args, payload, f"check {args.suite}: {args.trials}/{args.trials} trials passed")
         return 0
     trial, phi, message = failure
     counterexample = graph_io.serialize(phi) if phi is not None else None
-    payload = {"suite": args.suite, "trials": args.trials, "passes": trial,
-               "failures": 1, "failed_trial": trial, "message": message,
-               "counterexample": counterexample}
+    payload.update(passes=trial, failures=1, failed_trial=trial, message=message,
+                   counterexample=counterexample)
     table = (f"check {args.suite}: FAILED at trial {trial} ({message})\n"
              + (f"counterexample:\n{counterexample}" if counterexample else ""))
     _emit_report(args, payload, table)
@@ -436,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named property suite")
     add_common(p, with_file=False, with_matrix=False)
-    p.add_argument("suite", choices=CHECK_SUITES)
+    p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 

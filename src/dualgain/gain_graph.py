@@ -28,7 +28,7 @@ from .scalars import DualScalar, RINGS
 class UnderlyingGraph:
     """A simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "_edge_set")
 
     def __init__(self, n, edges=()):
         n = int(n)
@@ -49,6 +49,7 @@ class UnderlyingGraph:
             canonical.append(e)
         self.n = n
         self.edges = tuple(sorted(canonical))
+        self._edge_set = frozenset(canonical)
 
     @property
     def m(self) -> int:
@@ -56,7 +57,7 @@ class UnderlyingGraph:
 
     def has_edge(self, u, v) -> bool:
         e = (u, v) if u < v else (v, u)
-        return e in set(self.edges)
+        return e in self._edge_set
 
     def neighbors(self, v):
         out = []

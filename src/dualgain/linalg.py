@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatchError,
     SizeCapExceededError,
 )
-from .scalars import DEFAULT_TOL, DualNumber, DualScalar, RING_QUATERNION
+from .scalars import DEFAULT_TOL, DualNumber, DualScalar, RING_QUATERNION, _conj, _re_part
 
 
 class DualVector:
@@ -101,7 +101,7 @@ class DualVector:
         ns = float((rings.entry_abs(self.ring, self.s) ** 2).sum())
         if ns > tol * tol:
             cross = rings.vdot(self.ring, self.s, self.d)
-            sq = DualNumber(ns, 2.0 * _real_of(cross))
+            sq = DualNumber(ns, 2.0 * _re_part(cross))
             return sq.sqrt()
         nd = float(np.sqrt((rings.entry_abs(self.ring, self.d) ** 2).sum()))
         return DualNumber(0.0, nd)
@@ -219,17 +219,14 @@ class DualMatrix:
                 raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
             if self.n_cols != other.n:
                 raise ShapeMismatchError(f"cannot apply {self.shape} to length {other.n}")
-            s = rings.matvec(self.ring, self.s, other.s)
-            d = (rings.matvec(self.ring, self.s, other.d)
-                 + rings.matvec(self.ring, self.d, other.s))
-            return DualVector(self.ring, s, d)
-        self._check(other, same_shape=False)
-        if self.n_cols != other.n_rows:
-            raise ShapeMismatchError(f"cannot multiply {self.shape} by {other.shape}")
+        else:
+            self._check(other, same_shape=False)
+            if self.n_cols != other.n_rows:
+                raise ShapeMismatchError(f"cannot multiply {self.shape} by {other.shape}")
         s = rings.matmul(self.ring, self.s, other.s)
         d = (rings.matmul(self.ring, self.s, other.d)
              + rings.matmul(self.ring, self.d, other.s))
-        return DualMatrix(self.ring, s, d)
+        return type(other)(self.ring, s, d)
 
     # structure -------------------------------------------------------
 
@@ -292,14 +289,6 @@ def _freeze(arr):
     return arr
 
 
-def _real_of(value) -> float:
-    if isinstance(value, float):
-        return value
-    if isinstance(value, complex):
-        return value.real
-    return value.w
-
-
 def principal_submatrix(a: DualMatrix, subset) -> DualMatrix:
     """Rows and columns restricted to a vertex subset (in sorted order)."""
     idx = np.ix_(sorted(set(int(i) for i in subset)), sorted(set(int(i) for i in subset)))
@@ -354,7 +343,7 @@ def hermitian_eigendecomposition(a: DualMatrix, hermitian_tol: float = 1e-9,
                             rings.matmul(ring, d_part, block))
         supp = rings.symmetrize(ring, supp)
         if len(cl) == 1:
-            lam_d[cl[0]] = _real_of(rings.get(ring, supp, (0, 0)))
+            lam_d[cl[0]] = _re_part(rings.get(ring, supp, (0, 0)))
         else:
             dvals, z = rings.eigh(ring, supp)
             lam_d[cl] = dvals
@@ -406,14 +395,8 @@ def _gauge_fix(vec: DualVector, threshold: float = 1e-8) -> DualVector:
     m = abs(lead)
     if m == 0.0:
         return vec
-    u = _conj_of(lead) * (1.0 / m)
+    u = _conj(lead) * (1.0 / m)
     return vec.scale_right(DualScalar(vec.ring, u))
-
-
-def _conj_of(value):
-    if isinstance(value, float):
-        return value
-    return value.conjugate()
 
 
 # ---------------------------------------------------------------------------

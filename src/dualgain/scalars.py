@@ -66,10 +66,6 @@ def _conj(value):
     return value.conjugate()
 
 
-def _absval(value):
-    return abs(value)
-
-
 def _re_part(value):
     if isinstance(value, float):
         return value
@@ -369,17 +365,17 @@ class DualScalar:
         return DualNumber(_re_part(self.std), _re_part(self.dual))
 
     def squared_magnitude(self) -> DualNumber:
-        s = _absval(self.std)
+        s = abs(self.std)
         return DualNumber(s * s, 2.0 * _re_part(_conj(self.std) * self.dual))
 
     def magnitude(self, tol: float = DEFAULT_TOL) -> DualNumber:
-        s = _absval(self.std)
+        s = abs(self.std)
         if s > tol:
             return DualNumber(s, _re_part(_conj(self.std) * self.dual) / s)
-        return DualNumber(0.0, _absval(self.dual))
+        return DualNumber(0.0, abs(self.dual))
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "DualScalar":
-        ns = _absval(self.std) ** 2
+        ns = abs(self.std) ** 2
         if ns <= tol * tol:
             raise InfinitesimalNotInvertibleError(
                 "infinitesimal dual elements are not invertible")
@@ -389,11 +385,11 @@ class DualScalar:
         return DualScalar(self.ring, std_inv, dual_inv)
 
     def is_appreciable(self, tol: float = DEFAULT_TOL) -> bool:
-        return _absval(self.std) > tol
+        return abs(self.std) > tol
 
     def is_unit(self, tol: float = DEFAULT_TOL) -> bool:
         cross = self.std * _conj(self.dual) + self.dual * _conj(self.std)
-        return abs(_absval(self.std) - 1.0) <= tol and _absval(cross) <= tol
+        return abs(abs(self.std) - 1.0) <= tol and abs(cross) <= tol
 
     def to_dual_number(self) -> DualNumber:
         if self.ring != RING_REAL:
@@ -405,8 +401,7 @@ class DualScalar:
         complex -> quaternion)."""
         if ring == self.ring:
             return self
-        order = {RING_REAL: 0, RING_COMPLEX: 1, RING_QUATERNION: 2}
-        if ring not in order or order[ring] < order[self.ring]:
+        if ring not in RINGS or RINGS.index(ring) < RINGS.index(self.ring):
             raise RingMismatchError(f"cannot widen {self.ring} to {ring}")
         if self.ring == RING_REAL:
             if ring == RING_COMPLEX:
@@ -430,8 +425,8 @@ class DualScalar:
     def allclose(self, other: "DualScalar", tol: float = DEFAULT_TOL) -> bool:
         if self.ring != other.ring:
             return False
-        return (_absval(self.std - other.std) <= tol
-                and _absval(self.dual - other.dual) <= tol)
+        return (abs(self.std - other.std) <= tol
+                and abs(self.dual - other.dual) <= tol)
 
     def __repr__(self):
         return f"DualScalar({self.ring!r}, {self.std!r}, {self.dual!r})"

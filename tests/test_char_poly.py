@@ -71,6 +71,10 @@ def brute_force_basic_subgraphs(graph, i):
     return found
 
 
+def circulant(n, jumps):
+    return UnderlyingGraph(n, [(i, (i + k) % n) for i in range(n) for k in jumps])
+
+
 def basic_to_edge_set(basic):
     out = set(basic.edges)
     for cyc in basic.cycles:
@@ -165,14 +169,20 @@ class TestCoefficients:
     @pytest.mark.parametrize("ring", RINGS)
     def test_matches_eigenvalues(self, ring):
         rng = np.random.default_rng(6)
+        graphs = []
         for _ in range(8):
             n = int(rng.integers(2, 8))
-            phi = random_gain_graph(rng, random_connected_graph(
-                rng, n, int(rng.integers(0, 3))), ring)
+            graphs.append(random_gain_graph(rng, random_connected_graph(
+                rng, n, int(rng.integers(0, 3))), ring))
+        # circulants C_n(1, 2) take the check past n = 7
+        graphs += [random_gain_graph(rng, circulant(n, (1, 2)), ring) for n in (9, 10)]
+        for phi in graphs:
             cs = coefficients(phi)
             eig = spectrum(phi, with_vectors=False).values
             expected = char_poly_from_eigenvalues(eig)
             assert all(c.allclose(e, 1e-8) for c, e in zip(cs, expected))
+            signed_cn = -cs[-1] if phi.n % 2 else cs[-1]
+            assert mdet_via_subgraphs(phi).real_part().allclose(signed_cn, 1e-9)
 
 
 class TestMdetViaSubgraphs:

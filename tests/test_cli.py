@@ -190,6 +190,13 @@ class TestErrorHandling:
         assert run(["cycle", "--n", "3", "--gain", "garbage"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_non_positive_trials(self, trials, capsys):
+        assert run(["check", "dq2dc", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_output_file(self, tmp_path, triangle_file):
         out_file = tmp_path / "spec.json"
         assert run(["spectrum", triangle_file, "--format", "json",
