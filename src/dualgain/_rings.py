@@ -8,9 +8,11 @@ all products one-liners.  Vectors use the same layout with one axis less.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from .errors import BadRingError, SingularStandardPartError
+from .errors import BadRingError, SingularStandardPartError, SizeCapExceededError
 from .quaternion import Quaternion
 from .scalars import RING_COMPLEX, RING_QUATERNION, RING_REAL, RINGS
 
@@ -26,6 +28,27 @@ def zeros(ring, shape):
     if ring == RING_COMPLEX:
         return np.zeros(shape, dtype=np.complex128)
     return np.zeros(tuple(shape) + (2,), dtype=np.complex128)
+
+
+# dense n x n arrays of the matrix's ring alive at the peak of a dual
+# eigendecomposition (the quaternion n = 400 adjacency spectrum peaks at
+# about 9 x 5.1 MB)
+_DENSE_ARRAYS = 10
+
+
+def check_dense_size(ring, n):
+    """Raise SizeCapExceededError, before anything is allocated, when the
+    dense n x n working set of `ring` would exceed physical memory.  Where
+    the platform does not report physical memory nothing is checked."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = _DENSE_ARRAYS * zeros(ring, (1, 1)).nbytes * n * n
+    if need > physical:
+        raise SizeCapExceededError(
+            f"a dense {ring} solve at n={n} needs about {need / 2**30:.3g} GiB, more "
+            f"than the {physical / 2**30:.3g} GiB of physical memory")
 
 
 def eye(ring, n):
@@ -109,6 +132,21 @@ def scale_right(ring, v, s):
     return out
 
 
+def scale_columns(ring, arr, units):
+    """arr[:, i] * units[i] for every column i, in place, with the scalars
+    acting on the right (split pairs of shape (m, 2) for quaternions)."""
+    if ring != RING_QUATERNION:
+        arr *= units
+        return
+    s1, s2 = units[:, 0], units[:, 1]
+    a1, a2 = arr[..., 0], arr[..., 1]
+    carry = a1 * s2
+    a1 *= s1
+    a1 -= a2 * s2.conj()
+    a2 *= s1.conj()
+    a2 += carry
+
+
 def entry_abs(ring, arr):
     if ring == RING_REAL:
         return np.abs(arr)
@@ -170,53 +208,60 @@ def eigh(ring, arr):
     return _eigh_quaternion(arr)
 
 
-def _quaternion_partner(u, n):
-    """The j-partner of an embedded vector; spans, with u, one quaternion line."""
-    return np.concatenate((-u[n:].conj(), u[:n].conj()))
-
-
 def _eigh_quaternion(arr):
     n = arr.shape[0]
     if n == 0:
         return np.zeros(0), zeros(RING_QUATERNION, (0, 0))
-    m = embed_quaternion(arr)
-    m = 0.5 * (m + m.conj().T)
-    w, u = np.linalg.eigh(m)
+    w, u = np.linalg.eigh(symmetrize(RING_COMPLEX, embed_quaternion(arr)))
 
-    # group the doubled spectrum into even-sized clusters
-    scale = max(1.0, float(np.abs(w).max()))
-    gap_tol = 1e-10 * scale
-    groups = []
-    start = 0
-    for i in range(1, 2 * n):
-        if w[i] - w[i - 1] > gap_tol and (i - start) % 2 == 0:
-            groups.append((start, i))
-            start = i
-    groups.append((start, 2 * n))
+    # One group per distinct quaternion eigenvalue: the embedding repeats
+    # each one exactly, so its copies differ only by rounding, O(eps |A|).
+    # The gap is absolute in |A| and kept just above that noise because the
+    # copies of a group are averaged; the relative 1e-8 gap of
+    # linalg._clusters would move distinct eigenvalues by up to 1e-8, while
+    # those clusters only choose which directions share a supplement and
+    # move no standard eigenvalue.  Groups start at even indices.
+    gap_tol = 1e-10 * max(1.0, float(np.abs(w).max()))
+    even = np.arange(2, 2 * n, 2)
+    bounds = np.concatenate(([0], even[w[even] - w[even - 1] > gap_tol], [2 * n]))
+    starts, sizes = bounds[:-1], np.diff(bounds) // 2
+    values = np.repeat(np.add.reduceat(w, starts) / (2 * sizes), sizes)
 
-    values = np.empty(n)
-    vectors = zeros(RING_QUATERNION, (n, n))
-    out = 0
-    for g0, g1 in groups:
-        k = (g1 - g0) // 2
-        val = float(np.mean(w[g0:g1]))
-        cols = u[:, g0:g1]
-        for t in range(k):
-            vec = cols[:, 0]
-            x1 = vec[:n]
-            x2 = -vec[n:].conj()
-            nrm = np.sqrt((np.abs(x1) ** 2).sum() + (np.abs(x2) ** 2).sum())
-            x1 = x1 / nrm
-            x2 = x2 / nrm
-            values[out] = val
-            vectors[:, out, 0] = x1
-            vectors[:, out, 1] = x2
-            out += 1
-            if t < k - 1:
-                p1 = np.concatenate((x1, -x2.conj()))
-                p2 = _quaternion_partner(p1, n)
-                rest = cols[:, 1:]
-                rest = rest - np.outer(p1, p1.conj() @ rest) - np.outer(p2, p2.conj() @ rest)
-                q, s, _ = np.linalg.svd(rest, full_matrices=False)
-                cols = q[:, : 2 * (k - t - 1)]
+    # a group of one quaternion eigenvalue takes its first embedded column
+    emb = u[:, np.repeat(starts, sizes)]
+    offsets = np.cumsum(sizes) - sizes
+    for g0, k, out in zip(starts, sizes, offsets):
+        if k > 1:
+            emb[:, out:out + k] = _quaternion_basis(u[:, g0:g0 + 2 * k], k)
+    vectors = np.stack((emb[:n], -emb[n:].conj()), axis=-1)
+    vectors /= np.sqrt((np.abs(emb) ** 2).sum(axis=0))[:, None]
     return values, vectors
+
+
+def _quaternion_partner(p, n):
+    """The j-partner of an embedded vector; spans, with p, one quaternion line."""
+    return np.concatenate((-p[n:].conj(), p[:n].conj()))
+
+
+def _quaternion_basis(cols, k):
+    """k embedded vectors that, with their j-partners, form an orthonormal
+    basis of the 2k-dimensional span of the orthonormal columns `cols`.
+
+    One Gram-Schmidt pass, O(n k^2): each step takes the column with the
+    largest remaining norm, re-orthogonalises it once against the vectors
+    and partners chosen so far, and projects it and its partner out of
+    every column.
+    """
+    n = cols.shape[0] // 2
+    cols = cols.copy()
+    basis = np.empty_like(cols)          # p_1, J p_1, p_2, J p_2, ...
+    for t in range(k):
+        p = cols[:, np.argmax((np.abs(cols) ** 2).sum(axis=0))]
+        chosen = basis[:, :2 * t]
+        p = p - chosen @ (chosen.conj().T @ p)
+        p /= np.linalg.norm(p)
+        basis[:, 2 * t] = p
+        basis[:, 2 * t + 1] = _quaternion_partner(p, n)
+        pair = basis[:, 2 * t:2 * t + 2]
+        cols -= pair @ (pair.conj().T @ cols)
+    return basis[:, 0::2]

@@ -39,6 +39,8 @@ def parse(text: str, tol: float = 1e-9) -> GainGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphSyntaxError(exc.msg, line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise GraphSyntaxError("document is nested too deeply") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise GraphSyntaxError(f"not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
@@ -47,16 +49,16 @@ def parse(text: str, tol: float = 1e-9) -> GainGraph:
     if ring not in RINGS:
         raise BadRingError(f"unknown ring tag {ring!r}")
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"], "vertex count n")
         records = list(doc["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GraphSyntaxError(f"malformed document: {exc}") from exc
     width = RING_WIDTH[ring]
     edges = []
     gains = {}
     for rec in records:
         try:
-            u, v = int(rec["u"]), int(rec["v"])
+            u, v = _integer(rec["u"], "vertex u"), _integer(rec["v"], "vertex v")
             std = [float(c) for c in rec["gain_std"]]
             dual = [float(c) for c in rec["gain_dual"]]
         except (KeyError, TypeError, ValueError) as exc:
@@ -69,6 +71,14 @@ def parse(text: str, tol: float = 1e-9) -> GainGraph:
         edges.append((u, v))
         gains[(u, v)] = DualScalar.from_components(ring, std, dual)
     return GainGraph(UnderlyingGraph(n, edges), ring, gains, tol)
+
+
+def _integer(value, what):
+    """A JSON integer as is; floats (2.7, 1e400), strings and booleans are
+    refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphSyntaxError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def save(phi: GainGraph, path) -> None:

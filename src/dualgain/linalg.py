@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatchError,
     SizeCapExceededError,
 )
-from .scalars import DEFAULT_TOL, DualNumber, DualScalar, RING_QUATERNION, _conj, _re_part
+from .scalars import DEFAULT_TOL, DualNumber, DualScalar, RING_QUATERNION, _re_part
 
 
 class DualVector:
@@ -274,14 +274,14 @@ def _as_part(ring, data, vector):
     if ring == RING_QUATERNION:
         if arr.ndim != base_dims + 1 or arr.shape[-1] != 2:
             raise ShapeMismatchError("quaternion parts use split shape (..., 2)")
-        return arr.astype(np.complex128)
+        return arr.astype(np.complex128, copy=False)
     if arr.ndim != base_dims:
         raise ShapeMismatchError(f"expected a {base_dims}-d array")
     if ring == "real":
         if np.iscomplexobj(arr):
             raise RingMismatchError("complex data in a real-ring part")
-        return arr.astype(np.float64)
-    return arr.astype(np.complex128)
+        return arr.astype(np.float64, copy=False)
+    return arr.astype(np.complex128, copy=False)
 
 
 def _freeze(arr):
@@ -320,6 +320,28 @@ def hermitian_eigendecomposition(a: DualMatrix, hermitian_tol: float = 1e-9,
     directions.  Output is deterministic: each eigenvector is gauged so its
     first appreciable standard entry is positive real.
     """
+    values, vectors = _eigensystem(a, with_vectors=True, hermitian_tol=hermitian_tol,
+                                   cluster_tol=cluster_tol)
+    return [EigenPair(value, vector) for value, vector in zip(values, vectors)]
+
+
+# standard entries at or below this magnitude are passed over by the gauge
+_GAUGE_THRESHOLD = 1e-8
+
+
+def _eigensystem(a: DualMatrix, *, with_vectors: bool, hermitian_tol: float = 1e-9,
+                 cluster_tol: float = 1e-8):
+    """The dual eigenvalues, sorted descending under the dual-number order,
+    and their gauged eigenvectors (None when with_vectors is false).
+
+    After the Hermitian solve A_s V = V diag(w), every step works on the
+    one Gram matrix G = V* A_d V: singleton clusters read their dual parts
+    off Re diag(G), and each larger cluster solves its supplement, the
+    G[cl, cl] block, then rotates its columns of V and refreshes G.  Callers
+    that need values only stop there.  The eigenvector dual parts are one
+    product X_d = V C with C_ji = G_ji / (w_i - w_j) off the clusters and 0
+    on them, built in G's buffer; the gauge scales all columns at once.
+    """
     if a.n_rows != a.n_cols:
         raise NotHermitianError("matrix is not square")
     defect = a.hermitian_defect()
@@ -328,75 +350,62 @@ def hermitian_eigendecomposition(a: DualMatrix, hermitian_tol: float = 1e-9,
     ring = a.ring
     n = a.n_rows
     if n == 0:
-        return []
+        return (), (() if with_vectors else None)
 
-    s_part = rings.symmetrize(ring, np.array(a.s))
-    d_part = rings.symmetrize(ring, np.array(a.d))
-    w, v = rings.eigh(ring, s_part)
-    v = np.array(v)
-
-    clusters = _cluster_indices(w, cluster_tol)
-    lam_d = np.zeros(n)
-    for cl in clusters:
-        block = v[:, cl]
-        supp = rings.matmul(ring, rings.conj_transpose(ring, block),
-                            rings.matmul(ring, d_part, block))
-        supp = rings.symmetrize(ring, supp)
-        if len(cl) == 1:
-            lam_d[cl[0]] = _re_part(rings.get(ring, supp, (0, 0)))
-        else:
-            dvals, z = rings.eigh(ring, supp)
-            lam_d[cl] = dvals
-            v[:, cl] = rings.matmul(ring, block, z)
-
-    gram = rings.matmul(ring, rings.conj_transpose(ring, v),
-                        rings.matmul(ring, d_part, v))
-    x_d = rings.zeros(ring, (n, n))
-    in_cluster = np.empty(n, dtype=int)
-    for ci, cl in enumerate(clusters):
-        in_cluster[cl] = ci
-    for i in range(n):
-        outside = np.flatnonzero(in_cluster != in_cluster[i])
-        if outside.size == 0:
+    w, v = rings.eigh(ring, rings.symmetrize(ring, a.s))
+    g = rings.matmul(ring, rings.conj_transpose(ring, v),
+                     rings.matmul(ring, rings.symmetrize(ring, a.d), v))
+    lam_d = np.diagonal(g[..., 0] if ring == RING_QUATERNION else g).real.copy()
+    if with_vectors:
+        delta = w[None, :] - w[:, None]     # delta[j, i] = w_i - w_j
+        np.fill_diagonal(delta, np.inf)
+    for c0, c1 in _clusters(w, cluster_tol):
+        if c1 - c0 == 1:
             continue
-        coeffs = gram[outside, i]
-        denom = w[i] - w[outside]
-        if ring == RING_QUATERNION:
-            coeffs = coeffs / denom[:, None]
-            x_d[:, i] = rings.matmul(ring, v[:, outside], coeffs[:, None])[:, 0]
-        else:
-            x_d[:, i] = v[:, outside] @ (coeffs / denom)
+        cl = slice(c0, c1)
+        dvals, z = rings.eigh(ring, rings.symmetrize(ring, g[cl, cl]))
+        lam_d[cl] = dvals
+        if with_vectors:
+            v[:, cl] = rings.matmul(ring, v[:, cl], z)
+            g[:, cl] = rings.matmul(ring, g[:, cl], z)
+            g[cl, :] = rings.matmul(ring, rings.conj_transpose(ring, z), g[cl, :])
+            delta[cl, cl] = np.inf
+    order = np.lexsort((-lam_d, -w))
+    values = tuple(DualNumber(float(w[i]), float(lam_d[i])) for i in order)
+    if not with_vectors:
+        return values, None
 
-    pairs = []
-    for i in range(n):
-        vec = DualVector(ring, v[:, i], x_d[:, i])
-        vec = _gauge_fix(vec)
-        pairs.append(EigenPair(DualNumber(float(w[i]), float(lam_d[i])), vec))
-    pairs.sort(key=lambda p: (-p.value.std, -p.value.dual))
-    return pairs
-
-
-def _cluster_indices(w, cluster_tol):
-    clusters = []
-    start = 0
-    for i in range(1, len(w)):
-        gap_cap = cluster_tol * max(1.0, abs(w[i]), abs(w[i - 1]))
-        if w[i] - w[i - 1] > gap_cap:
-            clusters.append(np.arange(start, i))
-            start = i
-    clusters.append(np.arange(start, len(w)))
-    return clusters
+    g /= delta[..., None] if ring == RING_QUATERNION else delta
+    x_d = rings.matmul(ring, v, g)
+    _gauge(ring, v, x_d)
+    return values, tuple(DualVector(ring, v[:, i], x_d[:, i]) for i in order)
 
 
-def _gauge_fix(vec: DualVector, threshold: float = 1e-8) -> DualVector:
-    mags = rings.entry_abs(vec.ring, vec.s)
-    idx = int(np.argmax(mags > threshold)) if (mags > threshold).any() else int(np.argmax(mags))
-    lead = rings.get(vec.ring, vec.s, (idx,))
-    m = abs(lead)
-    if m == 0.0:
-        return vec
-    u = _conj(lead) * (1.0 / m)
-    return vec.scale_right(DualScalar(vec.ring, u))
+def _clusters(w, cluster_tol):
+    """(start, stop) index ranges of ascending eigenvalues whose neighbour
+    gaps stay within cluster_tol relative to the larger magnitude (at least
+    1)."""
+    caps = cluster_tol * np.maximum(1.0, np.maximum(np.abs(w[1:]), np.abs(w[:-1])))
+    bounds = [0, *(np.flatnonzero(np.diff(w) > caps) + 1).tolist(), len(w)]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _gauge(ring, v, x_d):
+    """Right-multiply column i of v and x_d by the unit that makes the lead
+    entry of v[:, i] positive real, in place.  The lead entry is the first
+    one above _GAUGE_THRESHOLD in magnitude, or the largest if none is."""
+    mags = rings.entry_abs(ring, v)
+    above = mags > _GAUGE_THRESHOLD
+    cols = np.arange(v.shape[1])
+    rows = np.where(above.any(axis=0), above.argmax(axis=0), mags.argmax(axis=0))
+    inv = 1.0 / mags[rows, cols]
+    lead = v[rows, cols]
+    if ring == RING_QUATERNION:
+        unit = np.stack((lead[:, 0].conj() * inv, -lead[:, 1] * inv), axis=-1)
+    else:
+        unit = lead.conj() * inv
+    rings.scale_columns(ring, v, unit)
+    rings.scale_columns(ring, x_d, unit)
 
 
 # ---------------------------------------------------------------------------

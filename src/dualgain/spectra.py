@@ -74,6 +74,7 @@ def _vector_components(vec: DualVector):
 def adjacency_matrix(phi: GainGraph) -> DualMatrix:
     """a_ij = gain(i -> j) on edges, zero elsewhere; Hermitian by construction."""
     n = phi.n
+    rings.check_dense_size(phi.ring, n)
     s = rings.zeros(phi.ring, (n, n))
     d = rings.zeros(phi.ring, (n, n))
     for u, v, g in phi.gains():
@@ -106,12 +107,16 @@ def gain_matrix(phi: GainGraph, kind: str) -> DualMatrix:
 def spectrum(phi: GainGraph, kind: str = KIND_ADJACENCY, *,
              hermitian_tol: float = 1e-9, cluster_tol: float = 1e-8,
              with_vectors: bool = True) -> Spectrum:
-    """Eigendecompose the chosen matrix, sorted descending under the dual order."""
+    """Eigendecompose the chosen matrix, sorted descending under the dual
+    order.  Without vectors the solve stops once the eigenvalues are known."""
+    matrix = gain_matrix(phi, kind)
+    if not with_vectors:
+        return Spectrum(kind, linalg._eigensystem(
+            matrix, with_vectors=False, hermitian_tol=hermitian_tol,
+            cluster_tol=cluster_tol)[0])
     pairs = linalg.hermitian_eigendecomposition(
-        gain_matrix(phi, kind), hermitian_tol=hermitian_tol, cluster_tol=cluster_tol)
-    values = tuple(p.value for p in pairs)
-    vectors = tuple(p.vector for p in pairs) if with_vectors else None
-    return Spectrum(kind, values, vectors)
+        matrix, hermitian_tol=hermitian_tol, cluster_tol=cluster_tol)
+    return Spectrum(kind, tuple(p.value for p in pairs), tuple(p.vector for p in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,7 @@ def check_interlacing(phi: GainGraph, subset, kind: str = KIND_ADJACENCY,
         raise BadParameterError("subset must be nonempty")
     lam = spectrum(phi, kind, with_vectors=False).values
     sub = linalg.principal_submatrix(gain_matrix(phi, kind), subset)
-    mu = tuple(p.value for p in linalg.hermitian_eigendecomposition(sub))
+    mu = linalg._eigensystem(sub, with_vectors=False)[0]
     n, k = len(lam), len(mu)
     upper = tuple(dual_geq(lam[i], mu[i], slack) for i in range(k))
     lower = tuple(dual_geq(mu[i], lam[n - k + i], slack) for i in range(k))
@@ -265,6 +270,14 @@ class RadiusReport:
     cross-checked against balance: adjacency equality holds exactly for
     balanced or antibalanced graphs, Laplacian equality exactly for graphs
     switching-equivalent to the all-(-1) gain.
+
+    A graph whose standard part is balanced and whose dual part is not
+    meets the adjacency bound anyway.  Switched so its standard gains are 1,
+    its dual gains are purely imaginary (the unit condition), so
+    x^H A_d x = 0 for the real Perron vector x of A(G): rho = rho(G) + 0 eps.
+    The 8-cycle with gain 1 + 0.3i eps reports equality=True,
+    balanced=False and hence consistent=False, and its closed form agrees.
+    `consistent` keeps comparing against balance as stated above.
     """
 
     kind: str
@@ -303,6 +316,7 @@ def underlying_radius(phi: GainGraph, kind: str = KIND_ADJACENCY) -> float:
     _check_kind(kind)
     if phi.n == 0:
         raise BadParameterError("radius of an empty graph")
+    rings.check_dense_size(RING_REAL, phi.n)
     a = phi.graph.adjacency()
     if kind == KIND_LAPLACIAN:
         a = a + np.diag(phi.graph.degrees().astype(float))

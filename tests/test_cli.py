@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -196,6 +197,37 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"format": "dual-gain-graph", "version": 1, "ring": "real", "n": 2.7, "edges": []}',
+        '{"format": "dual-gain-graph", "version": 1, "ring": "real", "n": 1e400, "edges": []}',
+        '{"format": "dual-gain-graph", "version": 1, "ring": "real", "n": 2, "edges": '
+        '[{"u": 0.5, "v": 1, "gain_std": [1.0], "gain_dual": [0.0]}]}',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["fractional-n", "overflowing-n", "fractional-vertex", "deep-nesting"])
+    def test_hostile_documents_exit_two(self, tmp_path, text, capsys):
+        bad = tmp_path / "bad.ggf"
+        bad.write_text(text)
+        assert run(["spectrum", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "radius"])
+    def test_dense_size_refused_before_allocation(self, tmp_path, command, capsys):
+        big = tmp_path / "big.ggf"
+        big.write_text('{"format": "dual-gain-graph", "version": 1, "ring": "quaternion", '
+                       '"n": 1000000, "edges": []}')
+        tracemalloc.start()
+        try:
+            code = run([command, str(big)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 10 * 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "physical memory" in err
 
     def test_output_file(self, tmp_path, triangle_file):
         out_file = tmp_path / "spec.json"

@@ -72,6 +72,17 @@ class TestParseErrors:
             parse(text)
 
 
+    @pytest.mark.parametrize("value", ["2.7", "2.0", "1e400", '"3"', "true"])
+    def test_vertex_count_must_be_an_integer(self, value):
+        text = serialize(path_graph(2, "real")).replace('"n": 2', f'"n": {value}')
+        with pytest.raises(GraphSyntaxError, match="must be an integer"):
+            parse(text)
+
+    def test_deep_nesting(self):
+        with pytest.raises(GraphSyntaxError, match="nested too deeply"):
+            parse("[" * 100_000 + "]" * 100_000)
+
+
 class TestGenerate:
     def test_cycle_family(self):
         q = DualScalar.complex(1j, 0.5)

@@ -20,8 +20,14 @@ from dualgain import (
     quaternion_adjoint_unembed,
     quaternion_hermitian_eigensystem,
 )
-from dualgain.linalg import principal_submatrix
-from dualgain.sampling import random_hermitian_matrix, random_scalar
+from dualgain.graph_io import complete_graph
+from dualgain.linalg import _eigensystem, principal_submatrix
+from dualgain.sampling import (
+    random_balanced_gain_graph,
+    random_hermitian_matrix,
+    random_scalar,
+)
+from dualgain.spectra import adjacency_matrix
 
 I, J, K = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
 
@@ -268,6 +274,170 @@ class TestEigendecomposition:
         for ii, oi in enumerate([0, 2, 4]):
             for jj, oj in enumerate([0, 2, 4]):
                 assert sub.entry(ii, jj) == a.entry(oi, oj)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the per-column eigendecomposition the array core replaced
+
+
+def _oracle_eigh(ring, arr):
+    """Standard solve with one SVD per copy of a repeated quaternion
+    eigenvalue."""
+    if ring != "quaternion":
+        return np.linalg.eigh(arr)
+    n = arr.shape[0]
+    m = rings.embed_quaternion(arr)
+    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+    gap_tol = 1e-10 * max(1.0, float(np.abs(w).max()))
+    groups, start = [], 0
+    for i in range(1, 2 * n):
+        if w[i] - w[i - 1] > gap_tol and (i - start) % 2 == 0:
+            groups.append((start, i))
+            start = i
+    groups.append((start, 2 * n))
+    values, vectors, out = np.empty(n), rings.zeros("quaternion", (n, n)), 0
+    for g0, g1 in groups:
+        k, cols = (g1 - g0) // 2, u[:, g0:g1]
+        for t in range(k):
+            x1, x2 = cols[:n, 0], -cols[n:, 0].conj()
+            nrm = np.sqrt((np.abs(x1) ** 2).sum() + (np.abs(x2) ** 2).sum())
+            values[out] = np.mean(w[g0:g1])
+            vectors[:, out, 0], vectors[:, out, 1] = x1 / nrm, x2 / nrm
+            out += 1
+            if t < k - 1:
+                p1 = np.concatenate((x1, -x2.conj())) / nrm
+                p2 = np.concatenate((-p1[n:].conj(), p1[:n].conj()))
+                rest = cols[:, 1:]
+                rest = rest - np.outer(p1, p1.conj() @ rest) - np.outer(p2, p2.conj() @ rest)
+                cols = np.linalg.svd(rest, full_matrices=False)[0][:, : 2 * (k - t - 1)]
+    return values, vectors
+
+
+def _oracle_gauge(ring, s, d):
+    mags = rings.entry_abs(ring, s)
+    idx = int(np.argmax(mags > 1e-8)) if (mags > 1e-8).any() else int(np.argmax(mags))
+    lead = rings.get(ring, s, (idx,))
+    u = lead.conjugate() * (1.0 / abs(lead))
+    return rings.scale_right(ring, s, u), rings.scale_right(ring, d, u)
+
+
+def oracle_eigendecomposition(a, cluster_tol=1e-8):
+    """(std, dual, clustered, vectors): one supplement per cluster, one
+    correction product per column, one gauge per vector, then a stable
+    sort on (-std, -dual)."""
+    ring, n = a.ring, a.n_rows
+    s_part = rings.symmetrize(ring, np.array(a.s))
+    d_part = rings.symmetrize(ring, np.array(a.d))
+    w, v = _oracle_eigh(ring, s_part)
+    v = np.array(v)
+    clusters, start = [], 0
+    for i in range(1, n):
+        if w[i] - w[i - 1] > cluster_tol * max(1.0, abs(w[i]), abs(w[i - 1])):
+            clusters.append(np.arange(start, i))
+            start = i
+    clusters.append(np.arange(start, n))
+    lam_d = np.zeros(n)
+    label = np.empty(n, dtype=int)
+    for ci, cl in enumerate(clusters):
+        label[cl] = ci
+        block = v[:, cl]
+        supp = rings.symmetrize(ring, rings.matmul(
+            ring, rings.conj_transpose(ring, block), rings.matmul(ring, d_part, block)))
+        if len(cl) == 1:
+            lam_d[cl[0]] = (supp[0, 0, 0] if ring == "quaternion" else supp[0, 0]).real
+        else:
+            lam_d[cl], z = _oracle_eigh(ring, supp)
+            v[:, cl] = rings.matmul(ring, block, z)
+    gram = rings.matmul(ring, rings.conj_transpose(ring, v), rings.matmul(ring, d_part, v))
+    x_d = rings.zeros(ring, (n, n))
+    for i in range(n):
+        outside = np.flatnonzero(label != label[i])
+        if outside.size:
+            coeffs = gram[outside, i] / (w[i] - w[outside]).reshape(
+                (-1, 1) if ring == "quaternion" else -1)
+            x_d[:, i] = rings.matmul(ring, v[:, outside], coeffs[:, None])[:, 0]
+    clustered = np.bincount(label)[label] > 1
+    pairs = sorted(((w[i], lam_d[i], clustered[i], _oracle_gauge(ring, v[:, i], x_d[:, i]))
+                    for i in range(n)), key=lambda p: (-p[0], -p[1]))
+    return pairs
+
+
+def engineered_matrix(rng, ring, diag_values):
+    """A_s = Q diag(values) Q* for a random unitary Q, random Hermitian A_d."""
+    n = len(diag_values)
+    _, q = rings.eigh(ring, random_hermitian_matrix(rng, ring, n).s)
+    diag = rings.zeros(ring, (n, n))
+    for i, val in enumerate(diag_values):
+        diag[(i, i, 0) if ring == "quaternion" else (i, i)] = val
+    s = rings.symmetrize(ring, rings.matmul(
+        ring, q, rings.matmul(ring, diag, rings.conj_transpose(ring, q))))
+    return DualMatrix(ring, s, random_hermitian_matrix(rng, ring, n).s)
+
+
+class TestArrayCoreAgainstOracle:
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("case", ["random", "repeated", "identity"])
+    def test_matches_per_column_loop(self, ring, case):
+        rng = np.random.default_rng(404)
+        for _ in range(3):
+            if case == "random":
+                a = random_hermitian_matrix(rng, ring, 9)
+            elif case == "repeated":
+                a = engineered_matrix(rng, ring, [2.0, 2.0, 2.0, -1.0, -1.0, 0.5, 0.0, 3.0])
+            else:
+                a = DualMatrix(ring, rings.eye(ring, 5), random_hermitian_matrix(rng, ring, 5).s)
+            got = hermitian_eigendecomposition(a)
+            want = oracle_eigendecomposition(a)
+            for pair, (std, dual, clustered, (vs, vd)) in zip(got, want):
+                assert abs(pair.value.std - std) <= 1e-12
+                assert abs(pair.value.dual - dual) <= 1e-12
+                if not clustered:
+                    assert rings.max_abs(ring, pair.vector.s - vs) <= 1e-10
+                    assert rings.max_abs(ring, pair.vector.d - vd) <= 1e-10
+            assert_valid_eigensystem(a, got)
+
+    def test_values_only_route_matches_full_route(self):
+        rng = np.random.default_rng(405)
+        for ring in RINGS:
+            for a in (random_hermitian_matrix(rng, ring, 7),
+                      engineered_matrix(rng, ring, [1.0, 1.0, -2.0, -2.0, -2.0, 0.25])):
+                values, vectors = _eigensystem(a, with_vectors=False)
+                assert vectors is None
+                assert values == tuple(p.value for p in hermitian_eigendecomposition(a))
+
+    def test_matmul_count_is_one_gram_and_one_correction_product(self, monkeypatch):
+        calls = []
+        matmul = rings.matmul
+
+        def counting(ring, x, y):
+            calls.append(ring)
+            return matmul(ring, x, y)
+
+        monkeypatch.setattr(rings, "matmul", counting)
+        a = random_hermitian_matrix(np.random.default_rng(406), "quaternion", 12)
+        hermitian_eigendecomposition(a)
+        assert len(calls) == 3                  # V* (A_d V), then V C
+        calls.clear()
+        _eigensystem(a, with_vectors=False)
+        assert len(calls) == 2
+
+    def test_balanced_complete_quaternion_graph(self):
+        # one standard eigenvalue of multiplicity n - 1: the de-duplicated
+        # quaternion eigenvectors must stay orthonormal, and the first-order
+        # residuals of the dual eigenpairs small
+        n = 64
+        phi = random_balanced_gain_graph(np.random.default_rng(407),
+                                         complete_graph(n, "quaternion").graph, "quaternion")
+        a = adjacency_matrix(phi)
+        w, v = quaternion_hermitian_eigensystem(a.s)
+        assert np.allclose(w, [-1.0] * (n - 1) + [n - 1.0], atol=1e-12)
+        gram = rings.matmul("quaternion", rings.conj_transpose("quaternion", v), v)
+        assert rings.max_abs("quaternion", gram - rings.eye("quaternion", n)) <= 1e-12
+        for pair in hermitian_eigendecomposition(a):
+            x = pair.vector
+            resid = (a @ x) - x.scale_right(pair.value.to_scalar("quaternion"))
+            assert rings.max_abs("quaternion", resid.s) <= 1e-11
+            assert rings.max_abs("quaternion", resid.d) <= 1e-11
 
 
 class TestMooreDeterminant:

@@ -240,6 +240,20 @@ class TestRadiusReports:
         assert not report.equality and report.consistent
         assert report.rho_gain.allclose(DualNumber(2 + S2), 1e-9)
 
+    def test_dual_twisted_cycle_meets_the_bound(self):
+        # standard part balanced, dual part not: the graph is unbalanced, yet
+        # rho = 2 + 0 eps = rho(G), because x^H A_d x = 0 for the real Perron
+        # vector when the dual gains are purely imaginary
+        gain = DualScalar.complex(1, 0.3j)
+        phi = cycle_graph(8, gain)
+        report = radius_report(phi)
+        assert report.equality and not report.balanced and not report.antibalanced
+        assert report.consistent is False
+        closed = spectral_radius(cycle_spectrum_closed_form(8, gain))
+        dense = spectral_radius(spectrum(phi))
+        for rho in (closed, dense, report.rho_gain):
+            assert rho.allclose(DualNumber(underlying_radius(phi), 0.0), 1e-12)
+
     def test_random_bounds(self):
         rng = np.random.default_rng(4)
         for trial in range(40):
