@@ -35,20 +35,40 @@ def zeros(ring, shape):
 # about 9 x 5.1 MB)
 _DENSE_ARRAYS = 10
 
+# bytes per vertex of the O(n) state of a graph pass: the CSR row pointers,
+# degree and component-label arrays are a few int64 each, and a balance pass
+# keeps one potential per vertex, about 400 bytes of Python objects for a
+# dual quaternion
+_VERTEX_BYTES = 512
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
 
 def check_dense_size(ring, n):
     """Raise SizeCapExceededError, before anything is allocated, when the
     dense n x n working set of `ring` would exceed physical memory.  Where
     the platform does not report physical memory nothing is checked."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
+    physical = _physical_memory()
     need = _DENSE_ARRAYS * zeros(ring, (1, 1)).nbytes * n * n
-    if need > physical:
+    if physical is not None and need > physical:
         raise SizeCapExceededError(
             f"a dense {ring} solve at n={n} needs about {need / 2**30:.3g} GiB, more "
             f"than the {physical / 2**30:.3g} GiB of physical memory")
+
+
+def check_vertex_count(n):
+    """The same refusal for the O(n) arrays of a graph on n vertices."""
+    physical = _physical_memory()
+    if physical is not None and _VERTEX_BYTES * n > physical:
+        raise SizeCapExceededError(
+            f"a graph on n={n} vertices needs more than the {physical / 2**30:.3g} GiB "
+            f"of physical memory, which holds at most {physical // _VERTEX_BYTES} vertices")
 
 
 def eye(ring, n):
@@ -64,6 +84,50 @@ def asarray(ring, data):
     if ring == RING_REAL:
         return np.asarray(data, dtype=np.float64)
     return np.asarray(data, dtype=np.complex128)
+
+
+def from_values(ring, values):
+    """An array of base-ring values (float, complex or Quaternion) in the
+    split layout: shape (m,), or (m, 2) for quaternions."""
+    if ring != RING_QUATERNION:
+        return asarray(ring, values)
+    return np.array([q.complex_pair() for q in values],
+                    dtype=np.complex128).reshape(len(values), 2)
+
+
+def to_values(ring, arr):
+    """Inverse of from_values: the entries of a split-layout array as a list
+    of Python base-ring values."""
+    if ring != RING_QUATERNION:
+        return arr.tolist()
+    return [Quaternion.from_complex_pair(a1, a2) for a1, a2 in arr.tolist()]
+
+
+def to_components(ring, arr):
+    """The (m, width) float components of m split-layout values, in file
+    order (real; real, imaginary; w, x, y, z)."""
+    if ring == RING_REAL:
+        return arr.reshape(-1, 1)
+    return np.ascontiguousarray(arr).view(np.float64).reshape(len(arr), -1)
+
+
+def from_components(ring, comps):
+    """Inverse of to_components for an (m, width) float64 array."""
+    if ring == RING_REAL:
+        return comps[:, 0]
+    out = np.ascontiguousarray(comps, dtype=np.float64).view(np.complex128)
+    return out[:, 0] if ring == RING_COMPLEX else out
+
+
+def widen(ring, arr, to):
+    """Split-layout values of `ring` embedded in the wider ring `to`."""
+    if to == ring:
+        return arr
+    if to == RING_COMPLEX:
+        return arr.astype(np.complex128)
+    out = zeros(to, arr.shape)
+    out[..., 0] = arr
+    return out
 
 
 def get(ring, arr, index):

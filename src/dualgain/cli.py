@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from . import _rings as rings
 from . import char_poly, graph_io, linalg, sampling, spectra
 from .errors import BadParameterError, DualGainError
 from .gain_graph import GainGraph
@@ -190,8 +191,8 @@ def _cmd_convert(args) -> int:
     if args.ring:
         if RINGS.index(args.ring) < RINGS.index(phi.ring):
             raise BadParameterError(f"cannot narrow {phi.ring} to {args.ring}")
-        gains = {(u, v): g.widen(args.ring) for u, v, g in phi.gains()}
-        phi = GainGraph(phi.graph, args.ring, gains)
+        phi = GainGraph(phi.graph, args.ring, (rings.widen(phi.ring, phi.std, args.ring),
+                                               rings.widen(phi.ring, phi.dual, args.ring)))
     _emit(args, graph_io.serialize(phi))
     return 0
 

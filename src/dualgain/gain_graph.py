@@ -4,15 +4,22 @@ A gain graph attaches a unit dual element to every oriented edge, with the
 reverse orientation carrying the inverse (equal to the conjugate for
 units).  Gains are stored once per undirected edge in the canonical
 orientation u < v, so the inverse constraint holds structurally.
+
+Storage is array-backed: a sorted (m, 2) int64 edge array, std/dual gain
+arrays aligned with it in the `_rings` split layout, and a CSR adjacency,
+the public `edges` tuple and the per-edge `DualScalar` view built from those
+arrays once, on first use.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _rings as rings
 from .errors import (
     BadParameterError,
     DuplicateEdgeError,
@@ -22,89 +29,128 @@ from .errors import (
     RingMismatchError,
     SelfLoopError,
 )
-from .scalars import DualScalar, RINGS
+from .scalars import DualScalar, RING_QUATERNION, RING_REAL, RINGS
+
+
+def _canonical_edges(n, edges):
+    """The sorted (m, 2) int64 array of canonical pairs u < v.
+
+    Refusals follow the input order: the first edge that is a self loop, out
+    of range or a repeat of an earlier edge raises, in that order of checks.
+    """
+    pairs = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
+    if pairs.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise BadParameterError("edges must be vertex pairs")
+    if pairs.dtype.kind not in "iu":
+        # int() per label as for single vertices: floats truncate, and
+        # integers beyond int64 stay exact (object dtype)
+        pairs = np.vectorize(int, otypes=[object])(pairs)
+    u, v = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    stop = int(bad.argmax()) if bad.any() else len(pairs)
+    lo, hi = lo[:stop].astype(np.int64), hi[:stop].astype(np.int64)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if repeat.any():
+        # a stable sort keeps copies in input order: the earliest later copy
+        first = int(order[1:][repeat].min())
+        e = (int(min(u[first], v[first])), int(max(u[first], v[first])))
+        raise DuplicateEdgeError(f"edge {e} given twice")
+    if stop < len(pairs):
+        a, b = int(u[stop]), int(v[stop])
+        if a == b:
+            raise SelfLoopError(f"self loop at vertex {a}")
+        raise BadParameterError(f"edge ({a}, {b}) out of range for n={n}")
+    return np.stack((lo, hi), axis=1)
 
 
 class UnderlyingGraph:
-    """A simple undirected graph on vertices 0..n-1."""
+    """A simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "_edge_set")
+    `edge_array` holds the canonical pairs u < v, sorted.  The CSR adjacency
+    (row pointers and ascending neighbor lists) is built from it on first
+    use; dense spectra never read it.
+    """
+
+    __slots__ = ("n", "edge_array", "_csr", "_edges", "_edge_set")
 
     def __init__(self, n, edges=()):
         n = int(n)
         if n < 0:
             raise BadParameterError("vertex count must be nonnegative")
-        canonical = []
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise SelfLoopError(f"self loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise BadParameterError(f"edge ({u}, {v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise DuplicateEdgeError(f"edge {e} given twice")
-            seen.add(e)
-            canonical.append(e)
+        rings.check_vertex_count(n)
         self.n = n
-        self.edges = tuple(sorted(canonical))
-        self._edge_set = frozenset(canonical)
+        self.edge_array = _canonical_edges(n, edges)
+        self.edge_array.flags.writeable = False
+        self._csr = self._edges = self._edge_set = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @property
+    def edges(self) -> tuple:
+        """The canonical edges as a sorted tuple of (u, v) pairs."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self.edge_array.tolist()))
+        return self._edges
+
+    def _adjacency_lists(self):
+        """CSR (indptr, indices) as Python lists: the neighbors of v,
+        ascending, are indices[indptr[v]:indptr[v + 1]]."""
+        if self._csr is None:
+            u, v = self.edge_array.T
+            heads, tails = np.concatenate((u, v)), np.concatenate((v, u))
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(heads, minlength=self.n), out=indptr[1:])
+            self._csr = (indptr.tolist(), tails[np.lexsort((tails, heads))].tolist())
+        return self._csr
 
     def has_edge(self, u, v) -> bool:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.edges)
         e = (u, v) if u < v else (v, u)
         return e in self._edge_set
 
     def neighbors(self, v):
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+        if not 0 <= v < self.n:
+            return []
+        indptr, indices = self._adjacency_lists()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     def max_degree(self) -> int:
         return int(self.degrees().max()) if self.n else 0
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        u, v = self.edge_array.T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         return a
 
     def components(self) -> list[list[int]]:
+        """Vertex sets of the components, each ascending, ordered by their
+        smallest vertex."""
+        indptr, indices = self._adjacency_lists()
         seen = [False] * self.n
         comps = []
-        adj = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
         for root in range(self.n):
             if seen[root]:
                 continue
-            comp = []
-            queue = deque([root])
             seen[root] = True
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for w in sorted(adj[v]):
+            comp = [root]
+            for v in comp:      # breadth first: the list grows while it is read
+                for w in indices[indptr[v]:indptr[v + 1]]:
                     if not seen[w]:
                         seen[w] = True
-                        queue.append(w)
+                        comp.append(w)
             comps.append(sorted(comp))
         return comps
 
@@ -114,7 +160,7 @@ class UnderlyingGraph:
     def __eq__(self, other):
         if not isinstance(other, UnderlyingGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
 
     def __repr__(self):
         return f"UnderlyingGraph(n={self.n}, m={self.m})"
@@ -134,30 +180,80 @@ class PotentialCertificate:
     witness_cycle: tuple | None = None
 
 
-class GainGraph:
-    """An underlying graph together with one unit dual gain per edge."""
+def _non_units(ring, std, dual, tol):
+    """Mask of the gains that fail | |s| - 1 | <= tol and |2<s, d>| <= tol;
+    NaN fails."""
+    inner = std.real * dual.real + std.imag * dual.imag
+    if ring == RING_QUATERNION:
+        inner = inner.sum(axis=-1)
+    return ~((np.abs(rings.entry_abs(ring, std) - 1.0) <= tol)
+             & (np.abs(2.0 * inner) <= tol))
 
-    __slots__ = ("graph", "ring", "_gains")
+
+class GainGraph:
+    """An underlying graph together with one unit dual gain per edge.
+
+    `std` and `dual` are read-only arrays aligned with `graph.edge_array`,
+    shape (m,) for real and complex gains and (m, 2) for quaternions (the
+    `_rings` split layout).  `gains` may be a mapping from canonical edges to
+    `DualScalar`s or a pair (std, dual) of such arrays; either way the unit
+    condition is checked here, for all edges at once.
+    """
+
+    __slots__ = ("graph", "ring", "std", "dual", "_scalars")
 
     def __init__(self, graph: UnderlyingGraph, ring, gains, tol: float = 1e-9):
         if ring not in RINGS:
             raise RingMismatchError(f"unknown ring tag {ring!r}")
-        table = {}
-        gains = dict(gains)
-        for u, v in graph.edges:
-            if (u, v) not in gains:
-                raise BadParameterError(f"missing gain for edge ({u}, {v})")
-            g = gains.pop((u, v))
-            if not isinstance(g, DualScalar) or g.ring != ring:
-                raise RingMismatchError(f"gain on ({u}, {v}) is not a {ring}-ring dual scalar")
-            if not g.is_unit(tol):
-                raise NotUnitGainError((u, v))
-            table[(u, v)] = g
-        if gains:
-            raise BadParameterError(f"gains given for non-edges: {sorted(gains)}")
+        scalars = None
+        failure = None
+        if isinstance(gains, Mapping):
+            std, dual, scalars, failure = self._from_mapping(graph, ring, gains)
+        else:
+            std, dual = (np.asarray(part) for part in gains)
+            shape = (graph.m, 2) if ring == RING_QUATERNION else (graph.m,)
+            if (std.shape != shape or dual.shape != shape
+                    or ring == RING_REAL and (np.iscomplexobj(std) or np.iscomplexobj(dual))):
+                raise RingMismatchError(
+                    f"{ring} gains of {graph.m} edges take {rings.zeros(ring, ()).dtype} "
+                    f"arrays of shape {shape}")
+            std, dual = (rings.asarray(ring, part).copy() for part in (std, dual))
+        # a non-unit gain raises before a later missing or mismatched one
+        bad = np.flatnonzero(_non_units(ring, std, dual, tol))
+        if bad.size:
+            raise NotUnitGainError(tuple(graph.edge_array[bad[0]].tolist()))
+        if failure is not None:
+            raise failure
+        std.flags.writeable = dual.flags.writeable = False
         self.graph = graph
         self.ring = ring
-        self._gains = table
+        self.std = std
+        self.dual = dual
+        self._scalars = scalars
+
+    @staticmethod
+    def _from_mapping(graph, ring, gains):
+        """Arrays and scalar view of the gains of a {(u, v): DualScalar}
+        mapping, up to the first edge whose gain is missing or of another
+        ring; that failure is returned, to be raised after the unit check."""
+        gains = dict(gains)
+        scalars = {}
+        failure = None
+        for u, v in graph.edges:
+            if (u, v) not in gains:
+                failure = BadParameterError(f"missing gain for edge ({u}, {v})")
+                break
+            g = gains.pop((u, v))
+            if not isinstance(g, DualScalar) or g.ring != ring:
+                failure = RingMismatchError(
+                    f"gain on ({u}, {v}) is not a {ring}-ring dual scalar")
+                break
+            scalars[(u, v)] = g
+        if failure is None and gains:
+            failure = BadParameterError(f"gains given for non-edges: {sorted(gains)}")
+        std = rings.from_values(ring, [g.std for g in scalars.values()])
+        dual = rings.from_values(ring, [g.dual for g in scalars.values()])
+        return std, dual, scalars, failure
 
     @classmethod
     def build(cls, graph: UnderlyingGraph, gains, ring=None, tol: float = 1e-9) -> "GainGraph":
@@ -173,15 +269,25 @@ class GainGraph:
     def n(self) -> int:
         return self.graph.n
 
+    def _scalar_view(self) -> dict:
+        """{(u, v): DualScalar} over the canonical edges in sorted order,
+        built from the arrays on first use."""
+        if self._scalars is None:
+            self._scalars = {
+                e: DualScalar(self.ring, s, d) for e, s, d in zip(
+                    self.graph.edges, rings.to_values(self.ring, self.std),
+                    rings.to_values(self.ring, self.dual))}
+        return self._scalars
+
     def gain(self, u, v) -> DualScalar:
         """The gain of the oriented edge u -> v."""
         if u < v:
-            return self._gains[(u, v)]
-        return self._gains[(v, u)].conjugate()
+            return self._scalar_view()[(u, v)]
+        return self._scalar_view()[(v, u)].conjugate()
 
     def gains(self):
         """Iterate (u, v, gain) over canonical edges."""
-        for (u, v), g in self._gains.items():
+        for (u, v), g in self._scalar_view().items():
             yield u, v, g
 
     def gain_of_walk(self, walk) -> DualScalar:
@@ -210,7 +316,7 @@ class GainGraph:
         return GainGraph(self.graph, self.ring, new_gains, tol)
 
     def negate(self) -> "GainGraph":
-        return GainGraph(self.graph, self.ring, {(u, v): -g for u, v, g in self.gains()})
+        return GainGraph(self.graph, self.ring, (-self.std, -self.dual))
 
     def balance_certificate(self, tol: float = 1e-9) -> PotentialCertificate:
         """Decide balance through a BFS spanning forest.
@@ -266,12 +372,13 @@ class GainGraph:
         for v in vs:
             if not 0 <= v < self.n:
                 raise BadParameterError(f"vertex {v} out of range")
-        index = {v: i for i, v in enumerate(vs)}
-        keep = set(vs)
-        edges = [(index[u], index[v]) for u, v in self.graph.edges if u in keep and v in keep]
-        gains = {(index[u], index[v]): g for u, v, g in self.gains()
-                 if u in keep and v in keep}
-        return GainGraph(UnderlyingGraph(len(vs), edges), self.ring, gains)
+        index = np.full(self.n, -1, dtype=np.int64)
+        index[vs] = np.arange(len(vs))
+        # the relabeling is increasing, so kept edges stay canonical and sorted
+        relabeled = index[self.graph.edge_array]
+        keep = (relabeled >= 0).all(axis=1)
+        return GainGraph(UnderlyingGraph(len(vs), relabeled[keep]), self.ring,
+                         (self.std[keep], self.dual[keep]))
 
     def __repr__(self):
         return f"GainGraph(ring={self.ring!r}, n={self.n}, m={self.graph.m})"

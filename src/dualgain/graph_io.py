@@ -8,22 +8,26 @@ trips are exact.  Gains are re-validated as units on load.
 from __future__ import annotations
 
 import json
+import operator
+from itertools import chain
 
 import numpy as np
 
+from . import _rings as rings
 from .errors import BadParameterError, BadRingError, GraphSyntaxError
 from .gain_graph import GainGraph, UnderlyingGraph
-from .scalars import RING_COMPLEX, RING_WIDTH, RINGS, DualScalar
+from .scalars import RING_COMPLEX, RING_REAL, RING_WIDTH, RINGS, DualScalar
 
 FORMAT_NAME = "dual-gain-graph"
 FORMAT_VERSION = 1
 
 
 def serialize(phi: GainGraph) -> str:
-    edges = []
-    for u, v, g in sorted(phi.gains()):
-        std, dual = g.components()
-        edges.append({"u": u, "v": v, "gain_std": std, "gain_dual": dual})
+    us, vs = phi.graph.edge_array.T.tolist()
+    stds, duals = (rings.to_components(phi.ring, part).tolist()
+                   for part in (phi.std, phi.dual))
+    edges = [{"u": u, "v": v, "gain_std": s, "gain_dual": d}
+             for u, v, s, d in zip(us, vs, stds, duals)]
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -53,24 +57,76 @@ def parse(text: str, tol: float = 1e-9) -> GainGraph:
         records = list(doc["edges"])
     except (KeyError, TypeError) as exc:
         raise GraphSyntaxError(f"malformed document: {exc}") from exc
-    width = RING_WIDTH[ring]
-    edges = []
-    gains = {}
-    for rec in records:
+    pairs, std, dual = _edge_columns(records, ring)
+    graph = UnderlyingGraph(n, pairs)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return GainGraph(graph, ring, (rings.from_components(ring, std[order]),
+                                   rings.from_components(ring, dual[order])), tol)
+
+
+_FIELDS = ("u", "v", "gain_std", "gain_dual")
+_NUMBER_TYPES = {int, float}
+
+
+def _edge_columns(records, ring):
+    """The edge records as whole columns: (m, 2) endpoints in file order
+    (int64, or object when a label exceeds int64) and (m, width) float64
+    std and dual components.
+
+    Every record must be an object with integer endpoints u < v and two
+    lists of the ring's width of JSON numbers; when one is not,
+    GraphSyntaxError names the first such record.
+    """
+    m, width = len(records), RING_WIDTH[ring]
+    try:
+        us, vs, stds, duals = ([rec[key] for rec in records] for key in _FIELDS)
+    except (KeyError, TypeError):
+        us = vs = stds = duals = ()
+    ok = (len(us) == m
+          and set(map(type, us)) <= {int} and set(map(type, vs)) <= {int}
+          and all(set(map(type, parts)) <= {list}
+                  and set(map(len, parts)) <= {width}
+                  and set(map(type, chain.from_iterable(parts))) <= _NUMBER_TYPES
+                  for parts in (stds, duals))
+          and all(map(operator.lt, us, vs)))
+    if ok:
         try:
-            u, v = _integer(rec["u"], "vertex u"), _integer(rec["v"], "vertex v")
-            std = [float(c) for c in rec["gain_std"]]
-            dual = [float(c) for c in rec["gain_dual"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphSyntaxError(f"malformed edge record {rec!r}") from exc
-        if len(std) != width or len(dual) != width:
-            raise GraphSyntaxError(
-                f"edge ({u}, {v}): {ring} gains take {width} components")
-        if not u < v:
-            raise GraphSyntaxError(f"edge ({u}, {v}) is not in canonical order u < v")
-        edges.append((u, v))
-        gains[(u, v)] = DualScalar.from_components(ring, std, dual)
-    return GainGraph(UnderlyingGraph(n, edges), ring, gains, tol)
+            std, dual = (np.fromiter(chain.from_iterable(parts), np.float64, m * width)
+                         .reshape(m, width) for parts in (stds, duals))
+        except OverflowError:
+            ok = False
+    if not ok:
+        problem = next(filter(None, (_record_problem(rec, ring) for rec in records)),
+                       "malformed edge records")
+        raise GraphSyntaxError(problem)
+    bits = np.int64 if m == 0 or (min(us) >= -2**63 and max(vs) < 2**63) else object
+    pairs = np.empty((m, 2), dtype=bits)
+    pairs[:, 0], pairs[:, 1] = us, vs
+    return pairs, std, dual
+
+
+def _record_problem(rec, ring):
+    """Why one edge record is malformed, or None; names the refusal once the
+    whole-column checks of `_edge_columns` have failed."""
+    if not isinstance(rec, dict) or "u" not in rec or "v" not in rec:
+        return f"malformed edge record {rec!r}"
+    u, v = rec["u"], rec["v"]
+    for what, value in (("vertex u", u), ("vertex v", v)):
+        if type(value) is not int:
+            return f"{what} must be an integer, got {value!r}"
+    parts = [rec.get(key) for key in _FIELDS[2:]]
+    for part in parts:
+        if type(part) is not list or not set(map(type, part)) <= _NUMBER_TYPES:
+            return f"malformed edge record {rec!r}"
+        try:
+            np.array(part, dtype=np.float64)
+        except OverflowError:
+            return f"malformed edge record {rec!r}"
+    if any(len(part) != RING_WIDTH[ring] for part in parts):
+        return f"edge ({u}, {v}): {ring} gains take {RING_WIDTH[ring]} components"
+    if not u < v:
+        return f"edge ({u}, {v}) is not in canonical order u < v"
+    return None
 
 
 def _integer(value, what):
@@ -116,14 +172,19 @@ def generate(family: str, *, n: int = None, ring: str = RING_COMPLEX,
 def _check_n(n, least):
     if n is None or int(n) < least:
         raise BadParameterError(f"need at least {least} vertices, got {n!r}")
+    rings.check_vertex_count(int(n))
     return int(n)
+
+
+def _neutral_graph(n, edges, ring):
+    """Gain 1 on every edge of an (m, 2) canonical edge array."""
+    ones = rings.widen(RING_REAL, np.ones(len(edges)), ring)
+    return GainGraph(UnderlyingGraph(n, edges), ring, (ones, rings.zeros(ring, ones.shape[:1])))
 
 
 def path_graph(n: int, ring: str = RING_COMPLEX) -> GainGraph:
     n = _check_n(n, 1)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    gains = {e: DualScalar.one(ring) for e in edges}
-    return GainGraph(UnderlyingGraph(n, edges), ring, gains)
+    return _neutral_graph(n, np.stack((np.arange(n - 1), np.arange(1, n)), axis=1), ring)
 
 
 def cycle_graph(n: int, gain: DualScalar) -> GainGraph:
@@ -143,9 +204,7 @@ def cycle_graph(n: int, gain: DualScalar) -> GainGraph:
 
 def complete_graph(n: int, ring: str = RING_COMPLEX) -> GainGraph:
     n = _check_n(n, 1)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    gains = {e: DualScalar.one(ring) for e in edges}
-    return GainGraph(UnderlyingGraph(n, edges), ring, gains)
+    return _neutral_graph(n, np.stack(np.triu_indices(n, 1), axis=1), ring)
 
 
 def random_graph(n: int, p: float, seed: int, ring: str = RING_COMPLEX) -> GainGraph:

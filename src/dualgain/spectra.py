@@ -71,31 +71,36 @@ def _vector_components(vec: DualVector):
     return stds, duals
 
 
-def adjacency_matrix(phi: GainGraph) -> DualMatrix:
-    """a_ij = gain(i -> j) on edges, zero elsewhere; Hermitian by construction."""
+def _adjacency_parts(phi: GainGraph):
+    """The standard and dual parts of the adjacency matrix, filled by fancy
+    indexing from the edge and gain arrays."""
     n = phi.n
     rings.check_dense_size(phi.ring, n)
-    s = rings.zeros(phi.ring, (n, n))
-    d = rings.zeros(phi.ring, (n, n))
-    for u, v, g in phi.gains():
-        rings.put(phi.ring, s, (u, v), g.std)
-        rings.put(phi.ring, d, (u, v), g.dual)
-        gc = g.conjugate()
-        rings.put(phi.ring, s, (v, u), gc.std)
-        rings.put(phi.ring, d, (v, u), gc.dual)
-    return DualMatrix(phi.ring, s, d)
+    u, v = phi.graph.edge_array.T
+    parts = []
+    for gains in (phi.std, phi.dual):
+        part = rings.zeros(phi.ring, (n, n))
+        part[u, v] = gains
+        part[v, u] = rings.conj(phi.ring, gains)
+        parts.append(part)
+    return parts
+
+
+def adjacency_matrix(phi: GainGraph) -> DualMatrix:
+    """a_ij = gain(i -> j) on edges, zero elsewhere; Hermitian by construction."""
+    return DualMatrix(phi.ring, *_adjacency_parts(phi))
 
 
 def laplacian_matrix(phi: GainGraph) -> DualMatrix:
     """L = D - A with D the (real) degree diagonal."""
-    a = adjacency_matrix(phi)
-    s = -np.array(a.s)
-    d = -np.array(a.d)
-    for v, deg in enumerate(phi.graph.degrees()):
-        if phi.ring == RING_QUATERNION:
-            s[v, v, 0] += deg
-        else:
-            s[v, v] += deg
+    s, d = _adjacency_parts(phi)
+    np.negative(s, out=s)
+    np.negative(d, out=d)
+    diag = np.arange(phi.n)
+    if phi.ring == RING_QUATERNION:
+        s[diag, diag, 0] += phi.graph.degrees()
+    else:
+        s[diag, diag] += phi.graph.degrees()
     return DualMatrix(phi.ring, s, d)
 
 

@@ -1,11 +1,12 @@
 import json
+import time
 import tracemalloc
 
 import pytest
 
-from dualgain import check_interlacing, spectrum
+from dualgain import SizeCapExceededError, check_interlacing, spectrum
 from dualgain.cli import run
-from dualgain.graph_io import save
+from dualgain.graph_io import load, save
 from dualgain.spectra import radius_report
 
 
@@ -228,6 +229,23 @@ class TestErrorHandling:
         assert peak < 10 * 2**20
         err = capsys.readouterr().err
         assert err.startswith("error:") and "physical memory" in err
+
+    @pytest.mark.parametrize("argv", [["balance"], ["interlace", "--drop", "0"],
+                                      ["spectrum"], ["radius"], ["convert"]],
+                             ids=lambda argv: argv[0])
+    def test_vertex_count_refused_before_any_graph_pass(self, tmp_path, argv, capsys):
+        huge = tmp_path / "huge.ggf"
+        huge.write_text('{"format": "dual-gain-graph", "version": 1, "ring": "real", '
+                        '"n": 1000000000000000000000000000000, "edges": []}')
+        # loading refuses it, so no subcommand reaches a loop over the vertices
+        with pytest.raises(SizeCapExceededError, match="physical memory"):
+            load(huge)
+        start = time.perf_counter()
+        code = run([argv[0], str(huge), *argv[1:]])
+        assert code == 2 and time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_output_file(self, tmp_path, triangle_file):
         out_file = tmp_path / "spec.json"

@@ -1,15 +1,26 @@
+import json
+from collections import deque
+
 import numpy as np
 import pytest
 
 from dualgain import (
+    BadParameterError,
     DualScalar,
     DuplicateEdgeError,
     GainGraph,
     NotAWalkError,
     NotUnitGainError,
+    Quaternion,
     RINGS,
+    RingMismatchError,
     SelfLoopError,
+    SizeCapExceededError,
     UnderlyingGraph,
+    complete_graph,
+    cycle_graph,
+    parse,
+    serialize,
 )
 from dualgain.sampling import (
     random_balanced_gain_graph,
@@ -17,6 +28,7 @@ from dualgain.sampling import (
     random_gain_graph,
     random_switching,
     random_unbalanced_connected,
+    random_unit_scalar,
 )
 
 
@@ -235,3 +247,190 @@ class TestInducedSubgraph:
         for (u, v) in sub.graph.edges:
             orig = ([1, 3, 5][u], [1, 3, 5][v])
             assert sub.gain(u, v) == phi.gain(*orig)
+
+
+# ---------------------------------------------------------------------------
+# array storage against the per-edge routines it replaced
+
+
+def scan_neighbors(edges, v):
+    return sorted([b for a, b in edges if a == v] + [a for a, b in edges if b == v])
+
+
+def bfs_components(n, edges):
+    adj = {v: scan_neighbors(edges, v) for v in range(n)}
+    seen, comps = set(), []
+    for root in range(n):
+        if root in seen:
+            continue
+        comp, queue = [], deque([root])
+        seen.add(root)
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def per_edge_refusal(n, edges):
+    """The exception class the edge-by-edge constructor raised, or None."""
+    seen = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            return SelfLoopError
+        if not (0 <= u < n and 0 <= v < n):
+            return BadParameterError
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            return DuplicateEdgeError
+        seen.add(e)
+    return None
+
+
+def per_edge_serialize(phi):
+    edges = []
+    for u, v, g in sorted(phi.gains()):
+        std, dual = g.components()
+        edges.append({"u": u, "v": v, "gain_std": std, "gain_dual": dual})
+    doc = {"format": "dual-gain-graph", "version": 1, "ring": phi.ring, "n": phi.n,
+           "edges": edges}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def oracle_graphs(rng, ring):
+    """Random, complete, cycle and twisted-cycle gain graphs of one ring."""
+    n = int(rng.integers(3, 9))
+    yield random_gain_graph(rng, random_connected_graph(rng, n, int(rng.integers(0, 5))), ring)
+    yield random_gain_graph(rng, complete_graph(n, ring).graph, ring)
+    yield cycle_graph(n, DualScalar.one(ring))
+    yield cycle_graph(n, random_unit_scalar(rng, ring))
+
+
+class TestArrayStorage:
+    def test_queries_match_per_edge_scans(self):
+        rng = np.random.default_rng(20)
+        for trial in range(60):
+            n = int(rng.integers(0, 12))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.6)
+            edges = [pairs[i] for i in rng.permutation(len(pairs)) if keep[i]]
+            g = UnderlyingGraph(n, [e[::-1] if rng.random() < 0.5 else e for e in edges])
+            ref = sorted(edges)
+            assert g.edges == tuple(ref) and g.m == len(ref)
+            assert g.edge_array.tolist() == [list(e) for e in ref]
+            assert all(g.neighbors(v) == scan_neighbors(ref, v) for v in range(n))
+            assert g.degrees().tolist() == [len(scan_neighbors(ref, v)) for v in range(n)]
+            assert g.components() == bfs_components(n, ref)
+            assert all(g.has_edge(u, v) == ((min(u, v), max(u, v)) in ref)
+                       for u in range(n) for v in range(n) if u != v)
+            dense = np.zeros((n, n))
+            for u, v in ref:
+                dense[u, v] = dense[v, u] = 1.0
+            assert np.array_equal(g.adjacency(), dense)
+
+    def test_long_path_components(self):
+        n = 500
+        order = np.random.default_rng(21).permutation(n)
+        g = UnderlyingGraph(n + 1, list(zip(order[:-1].tolist(), order[1:].tolist())))
+        assert g.components() == [sorted(order.tolist()), [n]]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_refusals_follow_input_order(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            edges = []
+            for _ in range(int(rng.integers(1, 8))):
+                kind = rng.integers(0, 10)
+                u, v = (int(x) for x in rng.integers(0, n, size=2))
+                if kind == 0:
+                    v = u
+                elif kind == 1:
+                    v = int(rng.choice([-1, n, 10**30]))
+                elif kind == 2 and edges:
+                    u, v = edges[int(rng.integers(0, len(edges)))][::-1]
+                edges.append((u, v))
+            expected = per_edge_refusal(n, edges)
+            if expected is None:
+                assert UnderlyingGraph(n, edges).edges == tuple(
+                    sorted((min(e), max(e)) for e in edges))
+            else:
+                with pytest.raises(expected):
+                    UnderlyingGraph(n, edges)
+
+    def test_mapping_failures_keep_edge_order(self):
+        g = UnderlyingGraph(3, [(0, 1), (1, 2)])
+        bad, one = DualScalar.real(1, 1), DualScalar.one("real")
+        with pytest.raises(NotUnitGainError):
+            GainGraph(g, "real", {(0, 1): bad})
+        with pytest.raises(BadParameterError):
+            GainGraph(g, "real", {(1, 2): bad})
+        with pytest.raises(NotUnitGainError):
+            GainGraph(g, "real", {(0, 1): bad, (1, 2): one, (0, 2): one})
+        with pytest.raises(RingMismatchError):
+            GainGraph(g, "real", {(0, 1): one, (1, 2): DualScalar.one("complex")})
+
+    def test_array_gains(self):
+        g = UnderlyingGraph(3, [(0, 1), (1, 2)])
+        std = np.array([[1, 0], [0, 1j]])
+        dual = np.array([[0.5j, 0], [0, 0]])
+        phi = GainGraph(g, "quaternion", (std, dual))
+        assert phi.gain(1, 2) == DualScalar.quaternion(Quaternion(0, 0, 0, 1), Quaternion())
+        assert phi.gain(1, 0) == DualScalar.quaternion(Quaternion(1), Quaternion(0, -0.5))
+        assert std.flags.writeable and not phi.std.flags.writeable
+        with pytest.raises(RingMismatchError):
+            GainGraph(g, "quaternion", (std[:, 0], dual[:, 0]))
+        with pytest.raises(RingMismatchError):
+            GainGraph(g, "real", (std[:, 0], dual[:, 0]))
+        with pytest.raises(NotUnitGainError) as exc:
+            GainGraph(g, "quaternion", (std, dual + np.array([[0, 0], [0, 1j]])))
+        assert exc.value.edge == (1, 2)
+        with pytest.raises(NotUnitGainError):
+            GainGraph(g, "complex", (np.array([1, np.nan]), np.zeros(2)))
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_scalar_view_matches_the_arrays(self, ring):
+        rng = np.random.default_rng(22)
+        for phi in oracle_graphs(rng, ring):
+            rebuilt = GainGraph(phi.graph, ring, (phi.std, phi.dual))
+            assert list(rebuilt.gains()) == list(phi.gains())
+            assert np.array_equal(rebuilt.negate().std, -phi.std)
+            assert [g for _, _, g in rebuilt.negate().gains()] == [-g for _, _, g in phi.gains()]
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_induced_subgraph_matches_per_edge_restriction(self, ring):
+        rng = np.random.default_rng(23)
+        for phi in oracle_graphs(rng, ring):
+            keep = sorted(rng.choice(phi.n, size=int(rng.integers(0, phi.n + 1)),
+                                     replace=False).tolist())
+            sub = phi.induced_subgraph(keep)
+            index = {v: i for i, v in enumerate(keep)}
+            expected = {(index[u], index[v]): g for u, v, g in phi.gains()
+                        if u in index and v in index}
+            assert sub.n == len(keep) and dict(((u, v), g) for u, v, g in sub.gains()) == expected
+            assert sub.graph.edges == tuple(sorted(expected))
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_serialize_matches_per_edge_serializer(self, ring):
+        rng = np.random.default_rng(24)
+        for phi in oracle_graphs(rng, ring):
+            text = per_edge_serialize(phi)
+            assert serialize(phi) == text
+            # parse -> serialize reproduces the document byte for byte, also
+            # when it lists the records in another order
+            assert serialize(parse(text)) == text
+            doc = json.loads(text)
+            doc["edges"].reverse()
+            assert serialize(parse(json.dumps(doc))) == text
+        neutral = complete_graph(5, ring)
+        assert all(g == DualScalar.one(ring) for _, _, g in neutral.gains())
+        assert serialize(neutral) == per_edge_serialize(neutral)
+
+    def test_huge_vertex_count_refused_before_allocation(self):
+        with pytest.raises(SizeCapExceededError, match="physical memory"):
+            UnderlyingGraph(10**30)

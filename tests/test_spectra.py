@@ -16,12 +16,16 @@ from dualgain import (
     UnderlyingGraph,
     adjacency_matrix,
     check_interlacing,
+    complete_graph,
     cycle_graph,
     cycle_spectrum_closed_form,
+    gain_matrix,
     laplacian_matrix,
+    parse,
     path_graph,
     path_spectrum_closed_form,
     radius_report,
+    serialize,
     spectral_radius,
     spectrum,
     underlying_radius,
@@ -362,3 +366,68 @@ class TestSpectralInvariants:
             assert spectra_close(neg, flipped, 1e-9)
             # the antibalance identity -lambda_n(phi) = lambda_1(-phi)
             assert (-vals[-1]).allclose(neg[0], 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# whole-array assembly against the per-edge assembler it replaced
+
+
+def per_edge_gain_matrix(phi, kind):
+    n, ring = phi.n, phi.ring
+    s, d = rings.zeros(ring, (n, n)), rings.zeros(ring, (n, n))
+    for u, v, g in phi.gains():
+        rings.put(ring, s, (u, v), g.std)
+        rings.put(ring, d, (u, v), g.dual)
+        gc = g.conjugate()
+        rings.put(ring, s, (v, u), gc.std)
+        rings.put(ring, d, (v, u), gc.dual)
+    if kind == KIND_LAPLACIAN:
+        s, d = -s, -d
+        for v, deg in enumerate(phi.graph.degrees()):
+            if ring == "quaternion":
+                s[v, v, 0] += deg
+            else:
+                s[v, v] += deg
+    return s, d
+
+
+class TestArrayAssembly:
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_bit_identical_to_per_edge_assembly(self, ring):
+        rng = np.random.default_rng(30)
+        for _ in range(4):
+            n = int(rng.integers(3, 10))
+            graphs = [
+                random_gain_graph(rng, random_connected_graph(rng, n, int(rng.integers(0, 6))), ring),
+                random_gain_graph(rng, complete_graph(n, ring).graph, ring),
+                cycle_graph(n, DualScalar.one(ring)),
+                cycle_graph(n, random_unit_scalar(rng, ring)),
+                GainGraph(UnderlyingGraph(n, []), ring, {}),
+            ]
+            for phi in graphs:
+                for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+                    mat = gain_matrix(phi, kind)
+                    s, d = per_edge_gain_matrix(phi, kind)
+                    # bytes, so signed zeros count as well
+                    assert mat.s.tobytes() == s.tobytes() and mat.d.tobytes() == d.tobytes()
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_load_and_assembly_build_no_scalars(self, ring, monkeypatch):
+        rng = np.random.default_rng(31)
+        text = serialize(random_gain_graph(rng, complete_graph(60, ring).graph, ring))
+        built = []
+        original = DualScalar.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DualScalar, "__init__", counting)
+        phi = parse(text)
+        adjacency_matrix(phi)
+        laplacian_matrix(phi)
+        assert phi.graph.m == 1770 and len(built) == 0
+        # the first scalar access builds the view once
+        phi.gain(0, 1)
+        list(phi.gains())
+        assert len(built) == 1770
