@@ -74,11 +74,11 @@ def real_gain_of_cycle(phi: GainGraph, cycle) -> CycleRealGain:
     return CycleRealGain(cyc, phi.gain_of_walk(walk).real_part())
 
 
-def enumerate_cycles(graph: UnderlyingGraph, size_cap: int = SIZE_CAP) -> list[tuple]:
+def enumerate_cycles(graph: UnderlyingGraph) -> list[tuple]:
     """All simple cycles, each emitted once: minimal vertex first and the
     smaller neighbor chosen as the second vertex."""
-    if graph.n > size_cap:
-        raise SizeCapExceededError(f"n={graph.n} exceeds the size cap {size_cap}")
+    if graph.n > SIZE_CAP:
+        raise SizeCapExceededError(f"n={graph.n} exceeds the size cap {SIZE_CAP}")
     adj = {v: graph.neighbors(v) for v in range(graph.n)}
     cycles = []
 
@@ -130,11 +130,10 @@ def _basic_parts(graph: UnderlyingGraph, cycles, size=None):
                 stack.append((v + 1, used.union(cyc), skipped, edges, cycs + (cyc,)))
 
 
-def enumerate_basic_subgraphs(graph: UnderlyingGraph, i: int,
-                              size_cap: int = SIZE_CAP) -> list[BasicSubgraph]:
+def enumerate_basic_subgraphs(graph: UnderlyingGraph, i: int) -> list[BasicSubgraph]:
     """All basic subgraphs covering exactly i vertices, in deterministic
     order."""
-    cycles = enumerate_cycles(graph, size_cap)
+    cycles = enumerate_cycles(graph)
     if not 0 <= i <= graph.n:
         raise ValueError(f"vertex count {i} out of range")
     out = [BasicSubgraph(edges, cycs) for _, edges, cycs in _basic_parts(graph, cycles, i)]
@@ -142,10 +141,10 @@ def enumerate_basic_subgraphs(graph: UnderlyingGraph, i: int,
     return out
 
 
-def _weighted_sums(phi: GainGraph, size_cap: int, size=None) -> list[DualNumber]:
+def _weighted_sums(phi: GainGraph, size=None) -> list[DualNumber]:
     """Entry i is the sum of (-1)**p(B) * 2**c(B) * R(B) over the basic
     subgraphs B on i vertices (only entry `size` is filled when given)."""
-    cycles = enumerate_cycles(phi.graph, size_cap)
+    cycles = enumerate_cycles(phi.graph)
     real_gains = {cyc: real_gain_of_cycle(phi, cyc).value for cyc in cycles}
     sums = [DualNumber.zero() for _ in range(phi.n + 1)]
     for count, edges, cycs in _basic_parts(phi.graph, cycles, size):
@@ -158,10 +157,10 @@ def _weighted_sums(phi: GainGraph, size_cap: int, size=None) -> list[DualNumber]
     return sums
 
 
-def coefficients(phi: GainGraph, size_cap: int = SIZE_CAP) -> list[DualNumber]:
+def coefficients(phi: GainGraph) -> list[DualNumber]:
     """Characteristic-polynomial coefficients c_1..c_n of the adjacency
     matrix, as dual numbers (x**n + c_1 x**(n-1) + ... + c_n)."""
-    return _weighted_sums(phi, size_cap)[1:]
+    return _weighted_sums(phi)[1:]
 
 
 def char_poly_from_eigenvalues(values) -> list[DualNumber]:
@@ -180,10 +179,10 @@ def char_poly_from_eigenvalues(values) -> list[DualNumber]:
     return coeffs[1:]
 
 
-def mdet_via_subgraphs(phi: GainGraph, size_cap: int = SIZE_CAP) -> DualScalar:
+def mdet_via_subgraphs(phi: GainGraph) -> DualScalar:
     """Moore determinant of the adjacency matrix, (-1)**n * c_n: the
     spanning basic-subgraph sum; an empty sum gives zero."""
     n = phi.n
-    spanning = _weighted_sums(phi, size_cap, n)[n]
+    spanning = _weighted_sums(phi, n)[n]
     # 0 - x rather than -x keeps an empty odd-n sum at +0
     return (DualNumber.zero() - spanning if n % 2 else spanning).to_scalar(phi.ring)

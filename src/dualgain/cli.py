@@ -72,7 +72,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_balance(args) -> int:
     phi = _load(args)
-    cert = phi.balance_certificate(args.tol)
+    cert = phi.balance_certificate()
     if cert.balanced:
         payload = {"balanced": True,
                    "theta": [render_dual_scalar(t) for t in cert.theta]}
@@ -191,8 +191,8 @@ def _cmd_convert(args) -> int:
     if args.ring:
         if RINGS.index(args.ring) < RINGS.index(phi.ring):
             raise BadParameterError(f"cannot narrow {phi.ring} to {args.ring}")
-        phi = GainGraph(phi.graph, args.ring, (rings.widen(phi.ring, phi.std, args.ring),
-                                               rings.widen(phi.ring, phi.dual, args.ring)))
+        widened = tuple(rings.widen(phi.ring, part, args.ring) for part in (phi.std, phi.dual))
+        phi = GainGraph(phi.graph, args.ring, widened, phi.tol)
     _emit(args, graph_io.serialize(phi))
     return 0
 

@@ -13,7 +13,6 @@ arrays once, on first use.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -197,10 +196,11 @@ class GainGraph:
     shape (m,) for real and complex gains and (m, 2) for quaternions (the
     `_rings` split layout).  `gains` may be a mapping from canonical edges to
     `DualScalar`s or a pair (std, dual) of such arrays; either way the unit
-    condition is checked here, for all edges at once.
+    condition is checked here, for all edges at once, within `tol`.  The
+    graph keeps `tol` for switching, balance and the graphs it derives.
     """
 
-    __slots__ = ("graph", "ring", "std", "dual", "_scalars")
+    __slots__ = ("graph", "ring", "std", "dual", "_tol", "_scalars")
 
     def __init__(self, graph: UnderlyingGraph, ring, gains, tol: float = 1e-9):
         if ring not in RINGS:
@@ -229,6 +229,7 @@ class GainGraph:
         self.ring = ring
         self.std = std
         self.dual = dual
+        self._tol = tol
         self._scalars = scalars
 
     @staticmethod
@@ -269,6 +270,8 @@ class GainGraph:
     def n(self) -> int:
         return self.graph.n
 
+    tol = property(lambda self: self._tol, doc="The unit/balance tolerance of the graph.")
+
     def _scalar_view(self) -> dict:
         """{(u, v): DualScalar} over the canonical edges in sorted order,
         built from the arrays on first use."""
@@ -302,7 +305,7 @@ class GainGraph:
             out = out * self.gain(u, v)
         return out
 
-    def switch(self, zeta, tol: float = 1e-9) -> "GainGraph":
+    def switch(self, zeta) -> "GainGraph":
         """Switched graph with gains zeta(u)^-1 gain(u, v) zeta(v)."""
         zeta = list(zeta)
         if len(zeta) != self.n:
@@ -310,39 +313,38 @@ class GainGraph:
         for i, z in enumerate(zeta):
             if not isinstance(z, DualScalar) or z.ring != self.ring:
                 raise RingMismatchError(f"switching value at vertex {i} has the wrong ring")
-            if not z.is_unit(tol):
+            if not z.is_unit(self.tol):
                 raise NotUnitError(f"switching value at vertex {i} is not a unit")
         new_gains = {(u, v): zeta[u].inverse() * g * zeta[v] for u, v, g in self.gains()}
-        return GainGraph(self.graph, self.ring, new_gains, tol)
+        return GainGraph(self.graph, self.ring, new_gains, self.tol)
 
     def negate(self) -> "GainGraph":
-        return GainGraph(self.graph, self.ring, (-self.std, -self.dual))
+        return GainGraph(self.graph, self.ring, (-self.std, -self.dual), self.tol)
 
-    def balance_certificate(self, tol: float = 1e-9) -> PotentialCertificate:
+    def balance_certificate(self) -> PotentialCertificate:
         """Decide balance through a BFS spanning forest.
 
-        Tree edges define theta (roots fixed at 1); the graph is balanced
-        exactly when every non-tree edge satisfies the potential equation
-        within tol.  The first violated edge yields its fundamental cycle as
-        a witness.
+        Searches start from each unvisited vertex in increasing order; tree
+        edges define theta (roots fixed at 1).  The graph is balanced exactly
+        when every edge satisfies the potential equation within `tol`; the
+        first violated edge yields its fundamental cycle as a witness.
         """
+        indptr, indices = self.graph._adjacency_lists()
         theta = [None] * self.n
         parent = [None] * self.n
-        adj = {v: self.graph.neighbors(v) for v in range(self.n)}
-        for comp in self.graph.components():
-            root = comp[0]
+        for root in range(self.n):
+            if theta[root] is not None:
+                continue
             theta[root] = DualScalar.one(self.ring)
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for w in adj[v]:
+            tree = [root]
+            for v in tree:      # breadth first: the list grows while it is read
+                for w in indices[indptr[v]:indptr[v + 1]]:
                     if theta[w] is None:
                         theta[w] = theta[v] * self.gain(v, w)
                         parent[w] = v
-                        queue.append(w)
-        for u, v, g in sorted(self.gains()):
-            predicted = theta[u].inverse() * theta[v]
-            if not g.allclose(predicted, tol):
+                        tree.append(w)
+        for u, v, g in self.gains():
+            if not g.allclose(theta[u].inverse() * theta[v], self.tol):
                 return PotentialCertificate(False, None, self._fundamental_cycle(parent, u, v))
         return PotentialCertificate(True, tuple(theta), None)
 
@@ -360,11 +362,11 @@ class GainGraph:
         back = up_v[: up_v.index(lca)]              # v ... child of lca
         return tuple(down + list(reversed(back)) + [u])
 
-    def is_balanced(self, tol: float = 1e-9) -> bool:
-        return self.balance_certificate(tol).balanced
+    def is_balanced(self) -> bool:
+        return self.balance_certificate().balanced
 
-    def is_antibalanced(self, tol: float = 1e-9) -> bool:
-        return self.negate().balance_certificate(tol).balanced
+    def is_antibalanced(self) -> bool:
+        return self.negate().balance_certificate().balanced
 
     def induced_subgraph(self, vertices) -> "GainGraph":
         """Restriction to a vertex subset, relabeled in increasing order."""
@@ -378,7 +380,7 @@ class GainGraph:
         relabeled = index[self.graph.edge_array]
         keep = (relabeled >= 0).all(axis=1)
         return GainGraph(UnderlyingGraph(len(vs), relabeled[keep]), self.ring,
-                         (self.std[keep], self.dual[keep]))
+                         (self.std[keep], self.dual[keep]), self.tol)
 
     def __repr__(self):
         return f"GainGraph(ring={self.ring!r}, n={self.n}, m={self.graph.m})"

@@ -307,30 +307,29 @@ class EigenPair:
     vector: DualVector
 
 
-def hermitian_eigendecomposition(a: DualMatrix, hermitian_tol: float = 1e-9,
-                                 cluster_tol: float = 1e-8) -> list[EigenPair]:
+def hermitian_eigendecomposition(a: DualMatrix) -> list[EigenPair]:
     """All n eigenpairs of a dual Hermitian matrix, sorted descending under
     the dual-number order.
 
     Standard parts are the eigenvalues of A_s.  Standard eigenvalues whose
-    relative gap is below cluster_tol are treated as one cluster: their dual
+    relative gap is at most _CLUSTER_GAP are treated as one cluster: their dual
     parts are the eigenvalues of the supplement matrix W* A_d W, and the
     eigenvector block W is rotated into the basis that diagonalizes it.
     Eigenvector dual parts are the first-order sums over the out-of-cluster
     directions.  Output is deterministic: each eigenvector is gauged so its
     first appreciable standard entry is positive real.
     """
-    values, vectors = _eigensystem(a, with_vectors=True, hermitian_tol=hermitian_tol,
-                                   cluster_tol=cluster_tol)
+    values, vectors = _eigensystem(a, with_vectors=True)
     return [EigenPair(value, vector) for value, vector in zip(values, vectors)]
 
 
-# standard entries at or below this magnitude are passed over by the gauge
-_GAUGE_THRESHOLD = 1e-8
+_GAUGE_THRESHOLD = 1e-8     # standard entries this small are passed over by the gauge
+_HERMITIAN_TOL = 1e-9       # largest hermitian defect the solvers and Mdet accept
+_CLUSTER_GAP = 1e-8         # relative gap within which standard eigenvalues share a supplement
+_MOORE_SIZE_CAP = 9         # the permutation sum takes n! terms
 
 
-def _eigensystem(a: DualMatrix, *, with_vectors: bool, hermitian_tol: float = 1e-9,
-                 cluster_tol: float = 1e-8):
+def _eigensystem(a: DualMatrix, *, with_vectors: bool):
     """The dual eigenvalues, sorted descending under the dual-number order,
     and their gauged eigenvectors (None when with_vectors is false).
 
@@ -345,8 +344,8 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, hermitian_tol: float = 1e
     if a.n_rows != a.n_cols:
         raise NotHermitianError("matrix is not square")
     defect = a.hermitian_defect()
-    if defect > hermitian_tol:
-        raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {hermitian_tol:.3e}")
+    if defect > _HERMITIAN_TOL:
+        raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.3e}")
     ring = a.ring
     n = a.n_rows
     if n == 0:
@@ -359,7 +358,7 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, hermitian_tol: float = 1e
     if with_vectors:
         delta = w[None, :] - w[:, None]     # delta[j, i] = w_i - w_j
         np.fill_diagonal(delta, np.inf)
-    for c0, c1 in _clusters(w, cluster_tol):
+    for c0, c1 in _clusters(w):
         if c1 - c0 == 1:
             continue
         cl = slice(c0, c1)
@@ -381,11 +380,11 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, hermitian_tol: float = 1e
     return values, tuple(DualVector(ring, v[:, i], x_d[:, i]) for i in order)
 
 
-def _clusters(w, cluster_tol):
+def _clusters(w):
     """(start, stop) index ranges of ascending eigenvalues whose neighbour
-    gaps stay within cluster_tol relative to the larger magnitude (at least
+    gaps stay within _CLUSTER_GAP relative to the larger magnitude (at least
     1)."""
-    caps = cluster_tol * np.maximum(1.0, np.maximum(np.abs(w[1:]), np.abs(w[:-1])))
+    caps = _CLUSTER_GAP * np.maximum(1.0, np.maximum(np.abs(w[1:]), np.abs(w[:-1])))
     bounds = [0, *(np.flatnonzero(np.diff(w) > caps) + 1).tolist(), len(w)]
     return zip(bounds[:-1], bounds[1:])
 
@@ -412,8 +411,7 @@ def _gauge(ring, v, x_d):
 # Moore determinant
 
 
-def moore_determinant(a: DualMatrix, size_cap: int = 9,
-                      hermitian_tol: float = 1e-9) -> DualScalar:
+def moore_determinant(a: DualMatrix) -> DualScalar:
     """Permutation-sum determinant for dual Hermitian matrices.
 
     Each permutation is written as disjoint cycles with the minimal index
@@ -424,11 +422,11 @@ def moore_determinant(a: DualMatrix, size_cap: int = 9,
     n = a.n_rows
     if a.n_cols != n:
         raise NotHermitianError("matrix is not square")
-    if n > size_cap:
-        raise SizeCapExceededError(f"n={n} exceeds the size cap {size_cap}")
+    if n > _MOORE_SIZE_CAP:
+        raise SizeCapExceededError(f"n={n} exceeds the size cap {_MOORE_SIZE_CAP}")
     defect = a.hermitian_defect()
-    if defect > hermitian_tol:
-        raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {hermitian_tol:.3e}")
+    if defect > _HERMITIAN_TOL:
+        raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.3e}")
 
     entries = [[a.entry(i, j) for j in range(n)] for i in range(n)]
     cycle_products: dict[tuple, DualScalar] = {}

@@ -28,6 +28,10 @@ KIND_ADJACENCY = "adjacency"
 KIND_LAPLACIAN = "laplacian"
 _KINDS = (KIND_ADJACENCY, KIND_LAPLACIAN)
 
+_INTERLACING_SLACK = 1e-9   # dual-order slack of the interlacing inequalities
+_BOUND_TOL = 1e-12          # excess of rho over a radius bound still counted as holding
+_EQUALITY_TOL = 1e-8        # rho(gain graph) = rho(G) when both parts agree this far
+
 
 def _check_kind(kind):
     if kind not in _KINDS:
@@ -110,17 +114,13 @@ def gain_matrix(phi: GainGraph, kind: str) -> DualMatrix:
 
 
 def spectrum(phi: GainGraph, kind: str = KIND_ADJACENCY, *,
-             hermitian_tol: float = 1e-9, cluster_tol: float = 1e-8,
              with_vectors: bool = True) -> Spectrum:
     """Eigendecompose the chosen matrix, sorted descending under the dual
     order.  Without vectors the solve stops once the eigenvalues are known."""
     matrix = gain_matrix(phi, kind)
     if not with_vectors:
-        return Spectrum(kind, linalg._eigensystem(
-            matrix, with_vectors=False, hermitian_tol=hermitian_tol,
-            cluster_tol=cluster_tol)[0])
-    pairs = linalg.hermitian_eigendecomposition(
-        matrix, hermitian_tol=hermitian_tol, cluster_tol=cluster_tol)
+        return Spectrum(kind, linalg._eigensystem(matrix, with_vectors=False)[0])
+    pairs = linalg.hermitian_eigendecomposition(matrix)
     return Spectrum(kind, tuple(p.value for p in pairs), tuple(p.vector for p in pairs))
 
 
@@ -241,26 +241,27 @@ class InterlacingReport:
         }
 
 
-def check_interlacing(phi: GainGraph, subset, kind: str = KIND_ADJACENCY,
-                      slack: float = 1e-9) -> InterlacingReport:
+def check_interlacing(phi: GainGraph, subset, kind: str = KIND_ADJACENCY) -> InterlacingReport:
     """Verify lambda_i >= mu_i >= lambda_{n+i-k} on a vertex subset.
 
     Both theorems compare against the principal submatrix on S.  For the
     adjacency matrix that is exactly A of the induced subgraph; for the
     Laplacian the diagonal keeps the degrees of the full graph (the induced
     subgraph's own Laplacian does not interlace in general).  Comparisons
-    use the tolerance-aware dual order: standard parts within slack defer
-    to dual parts with the same slack.
+    use the tolerance-aware dual order: standard parts within
+    _INTERLACING_SLACK defer to dual parts with the same slack.
     """
     subset = tuple(sorted(set(int(v) for v in subset)))
     if not subset:
         raise BadParameterError("subset must be nonempty")
-    lam = spectrum(phi, kind, with_vectors=False).values
-    sub = linalg.principal_submatrix(gain_matrix(phi, kind), subset)
-    mu = linalg._eigensystem(sub, with_vectors=False)[0]
+    matrix = gain_matrix(phi, kind)
+    lam = linalg._eigensystem(matrix, with_vectors=False)[0]
+    # rebinding frees the full matrix before the second solve
+    matrix = linalg.principal_submatrix(matrix, subset)
+    mu = linalg._eigensystem(matrix, with_vectors=False)[0]
     n, k = len(lam), len(mu)
-    upper = tuple(dual_geq(lam[i], mu[i], slack) for i in range(k))
-    lower = tuple(dual_geq(mu[i], lam[n - k + i], slack) for i in range(k))
+    upper = tuple(dual_geq(lam[i], mu[i], _INTERLACING_SLACK) for i in range(k))
+    lower = tuple(dual_geq(mu[i], lam[n - k + i], _INTERLACING_SLACK) for i in range(k))
     return InterlacingReport(kind, subset, lam, mu, upper, lower,
                              all(upper) and all(lower))
 
@@ -329,21 +330,20 @@ def underlying_radius(phi: GainGraph, kind: str = KIND_ADJACENCY) -> float:
     return float(np.abs(w).max())
 
 
-def radius_report(phi: GainGraph, kind: str = KIND_ADJACENCY, *,
-                  equality_tol: float = 1e-8, bound_tol: float = 1e-12,
-                  balance_tol: float = 1e-9) -> RadiusReport:
+def radius_report(phi: GainGraph, kind: str = KIND_ADJACENCY) -> RadiusReport:
+    """Radius, bounds and equality of `phi`; balance is decided under `phi.tol`."""
     _check_kind(kind)
     rho_gain = spectral_radius(spectrum(phi, kind, with_vectors=False))
     rho_graph = underlying_radius(phi, kind)
     delta = float(phi.graph.max_degree())
     delta_bound = delta if kind == KIND_ADJACENCY else 2.0 * delta
-    bound_holds = rho_gain.std <= rho_graph + bound_tol
-    delta_bound_holds = rho_gain.std <= delta_bound + bound_tol
-    equality = (abs(rho_gain.std - rho_graph) <= equality_tol
-                and abs(rho_gain.dual) <= equality_tol)
+    bound_holds = rho_gain.std <= rho_graph + _BOUND_TOL
+    delta_bound_holds = rho_gain.std <= delta_bound + _BOUND_TOL
+    equality = (abs(rho_gain.std - rho_graph) <= _EQUALITY_TOL
+                and abs(rho_gain.dual) <= _EQUALITY_TOL)
     connected = phi.graph.is_connected()
-    balanced = phi.is_balanced(balance_tol)
-    antibalanced = phi.is_antibalanced(balance_tol)
+    balanced = phi.is_balanced()
+    antibalanced = phi.is_antibalanced()
     if connected:
         predicted = (balanced or antibalanced) if kind == KIND_ADJACENCY else antibalanced
         consistent = predicted == equality

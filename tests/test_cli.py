@@ -24,6 +24,17 @@ def balanced_file(tmp_path, balanced_triangle):
     return str(path)
 
 
+@pytest.fixture
+def off_unit_file(tmp_path):
+    """A complex triangle with one gain 1.00001: a unit only within 1e-3."""
+    edges = [{"u": u, "v": v, "gain_std": [g, 0.0], "gain_dual": [0.0, 0.0]}
+             for u, v, g in ((0, 1, 1.00001), (0, 2, 1.0), (1, 2, 1.0))]
+    path = tmp_path / "off_unit.ggf"
+    path.write_text(json.dumps({"format": "dual-gain-graph", "version": 1,
+                                "ring": "complex", "n": 3, "edges": edges}))
+    return str(path)
+
+
 class TestSpectrumCommand:
     def test_table_output(self, triangle_file, capsys):
         assert run(["spectrum", triangle_file]) == 0
@@ -138,6 +149,21 @@ class TestGenerateConvert:
         assert run(["convert", triangle_file]) == 0
         out = capsys.readouterr().out
         assert out == open(triangle_file).read()
+
+
+class TestLoadTolerance:
+    @pytest.mark.parametrize("argv", [["spectrum"], ["balance"], ["radius"],
+                                      ["interlace", "--keep", "0,1"],
+                                      ["convert", "--ring", "quaternion"]])
+    def test_every_command_keeps_the_loaded_tolerance(self, off_unit_file, argv, capsys):
+        assert run([argv[0], off_unit_file, "--tol", "1e-3", *argv[1:]]) == 0
+        assert capsys.readouterr().err == ""
+        assert run([argv[0], off_unit_file, *argv[1:]]) == 2
+
+    def test_radius_flags_follow_the_tolerance(self, off_unit_file, capsys):
+        assert run(["radius", off_unit_file, "--tol", "1e-3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["balanced"] is True and payload["antibalanced"] is False
 
 
 class TestCheckCommand:

@@ -225,6 +225,38 @@ class TestBalanceCertificate:
         assert set(cert.witness_cycle) <= {3, 4, 5}
 
 
+class TestGraphTolerance:
+    """A graph keeps the unit/balance tolerance it was validated under."""
+
+    @pytest.fixture
+    def loose(self):
+        # one gain 1e-5 off the unit circle: a unit within 1e-3, not within 1e-9
+        one = DualScalar.one("complex")
+        g = UnderlyingGraph(3, [(0, 1), (0, 2), (1, 2)])
+        return GainGraph(g, "complex", {(0, 1): DualScalar.complex(1.00001),
+                                        (0, 2): one, (1, 2): one}, tol=1e-3)
+
+    def test_derived_graphs_keep_it(self, loose):
+        with pytest.raises(NotUnitGainError):
+            GainGraph(loose.graph, "complex", (loose.std, loose.dual))
+        derived = (loose.negate(), loose.induced_subgraph([0, 1]),
+                   loose.switch([DualScalar.complex(1j)] * loose.n))
+        assert [d.tol for d in derived] == [1e-3] * 3
+        assert loose.is_balanced() and not loose.is_antibalanced()
+
+    def test_read_only(self, loose):
+        with pytest.raises(AttributeError):
+            loose.tol = 1e-9
+
+    def test_balance_decided_under_it(self):
+        # the cycle gain e^(1e-5 i) is 1 within 1e-3 but not within 1e-9
+        g = UnderlyingGraph(3, [(0, 1), (0, 2), (1, 2)])
+        one = DualScalar.one("complex")
+        gains = {(0, 1): DualScalar.complex(np.exp(1e-5j)), (0, 2): one, (1, 2): one}
+        assert GainGraph(g, "complex", gains, tol=1e-3).is_balanced()
+        assert not GainGraph(g, "complex", gains).is_balanced()
+
+
 class TestInducedSubgraph:
     def test_full_subset_is_identity(self, balanced_triangle):
         sub = balanced_triangle.induced_subgraph(range(3))
@@ -274,6 +306,28 @@ def bfs_components(n, edges):
                     queue.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def component_bfs_certificate(phi):
+    """(balanced, theta, witness) as the certificate was computed with a
+    components() pass, a deque search per component and sorted gains."""
+    edges = list(phi.graph.edges)
+    adj = {v: scan_neighbors(edges, v) for v in range(phi.n)}
+    theta, parent = [None] * phi.n, [None] * phi.n
+    for comp in bfs_components(phi.n, edges):
+        theta[comp[0]] = DualScalar.one(phi.ring)
+        queue = deque([comp[0]])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if theta[w] is None:
+                    theta[w] = theta[v] * phi.gain(v, w)
+                    parent[w] = v
+                    queue.append(w)
+    for u, v, g in sorted(phi.gains()):
+        if not g.allclose(theta[u].inverse() * theta[v], phi.tol):
+            return False, None, phi._fundamental_cycle(parent, u, v)
+    return True, tuple(theta), None
 
 
 def per_edge_refusal(n, edges):
@@ -401,6 +455,25 @@ class TestArrayStorage:
             assert list(rebuilt.gains()) == list(phi.gains())
             assert np.array_equal(rebuilt.negate().std, -phi.std)
             assert [g for _, _, g in rebuilt.negate().gains()] == [-g for _, _, g in phi.gains()]
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_balance_certificate_matches_component_search(self, ring):
+        rng = np.random.default_rng(25)
+        verdicts = set()
+        for _ in range(60):
+            n = int(rng.integers(0, 11))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.7)
+            g = UnderlyingGraph(n, [e for e, k in zip(pairs, keep) if k])
+            sample = random_balanced_gain_graph if rng.random() < 0.5 else random_gain_graph
+            for phi in (sample(rng, g, ring), sample(rng, g, ring).negate()):
+                cert = phi.balance_certificate()
+                balanced, theta, witness = component_bfs_certificate(phi)
+                assert cert.balanced == balanced and cert.witness_cycle == witness
+                # bit-identical potentials: repr keeps every digit and signed zeros
+                assert repr(cert.theta) == repr(theta)
+                verdicts.add((balanced, g.is_connected()))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
     @pytest.mark.parametrize("ring", RINGS)
     def test_induced_subgraph_matches_per_edge_restriction(self, ring):

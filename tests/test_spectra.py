@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dualgain._rings as rings
+import dualgain.spectra as spectra_module
 from dualgain import (
     BadParameterError,
     DualNumber,
@@ -206,6 +207,21 @@ class TestInterlacing:
             k = int(rng.integers(1, n))
             subset = sorted(rng.choice(n, size=k, replace=False).tolist())
             assert check_interlacing(phi, subset, kind).holds
+
+    @pytest.mark.parametrize("kind", [KIND_ADJACENCY, KIND_LAPLACIAN])
+    def test_one_assembly_per_check(self, kind, dual_spectrum_triangle, monkeypatch):
+        assembled = []
+        for name in ("adjacency_matrix", "laplacian_matrix"):
+            original = getattr(spectra_module, name)
+
+            def counting(phi, original=original):
+                assembled.append(phi)
+                return original(phi)
+
+            monkeypatch.setattr(spectra_module, name, counting)
+        report = check_interlacing(dual_spectrum_triangle, [0, 2], kind)
+        assert len(assembled) == 1
+        assert report.values_full == spectrum(dual_spectrum_triangle, kind).values
 
 
 class TestRadiusReports:
