@@ -170,6 +170,22 @@ def matmul(ring, x, y):
     return np.stack((x1 @ y1 - x2 @ y2.conj(), x1 @ y2 + x2 @ y1.conj()), axis=-1)
 
 
+def mul(ring, x, y):
+    """The elementwise product x * y of split-layout arrays (quaternions do
+    not commute, so the order of the operands is the order of the factors)."""
+    if ring != RING_QUATERNION:
+        return x * y
+    x1, x2 = x[..., 0], x[..., 1]
+    y1, y2 = y[..., 0], y[..., 1]
+    return np.stack((x1 * y1 - x2 * y2.conj(), x1 * y2 + x2 * y1.conj()), axis=-1)
+
+
+def dual_mul(ring, xs, xd, ys, yd):
+    """The elementwise dual product (xs + xd eps)(ys + yd eps) as its
+    standard and dual parts (xs ys, xs yd + xd ys)."""
+    return mul(ring, xs, ys), mul(ring, xs, yd) + mul(ring, xd, ys)
+
+
 def vdot(ring, x, y):
     """x^H y with the conjugation on the left operand."""
     if ring == RING_REAL:
@@ -189,11 +205,7 @@ def scale_right(ring, v, s):
         return v * float(s)
     if ring == RING_COMPLEX:
         return v * complex(s)
-    s1, s2 = s.complex_pair()
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 0] * s1 - v[..., 1] * np.conj(s2)
-    out[..., 1] = v[..., 0] * s2 + v[..., 1] * np.conj(s1)
-    return out
+    return mul(ring, v, np.array(s.complex_pair()))
 
 
 def scale_columns(ring, arr, units):

@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, balance, radius, interlace, charpoly, mdet, cycle,
 path, check, generate, convert.  Exit codes: 0 success, 1 a check suite
-found a property violation, 2 input error.
+found a property violation, 2 input error or any other failure, reported as
+one "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import _rings as rings
 from . import char_poly, graph_io, linalg, sampling, spectra
 from .errors import BadParameterError, DualGainError
-from .gain_graph import GainGraph
+from .gain_graph import GainGraph, _vertex_subset
 from .scalars import (
     DualNumber,
     DualScalar,
@@ -112,7 +113,8 @@ def _cmd_interlace(args) -> int:
     if args.keep:
         subset = [int(x) for x in args.keep.split(",") if x.strip() != ""]
     elif args.drop:
-        dropped = {int(x) for x in args.drop.split(",") if x.strip() != ""}
+        dropped = set(_vertex_subset(phi.n, (int(x) for x in args.drop.split(",")
+                                             if x.strip() != "")))
         subset = [v for v in range(phi.n) if v not in dropped]
     else:
         subset = list(range(phi.n - 1))
@@ -450,6 +452,10 @@ def run(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (DualGainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:    # a library fault still keeps the exit contract
+        detail = " ".join(str(exc).split())
+        print(f"error: internal {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
 
 

@@ -179,6 +179,16 @@ class PotentialCertificate:
     witness_cycle: tuple | None = None
 
 
+def _vertex_subset(n, vertices):
+    """The distinct vertices in increasing order; BadParameterError unless
+    each lies in 0..n-1."""
+    vs = sorted(set(int(v) for v in vertices))
+    bad = [v for v in vs if not 0 <= v < n]
+    if bad:
+        raise BadParameterError(f"vertex {bad[0]} out of range for n={n}")
+    return vs
+
+
 def _non_units(ring, std, dual, tol):
     """Mask of the gains that fail | |s| - 1 | <= tol and |2<s, d>| <= tol;
     NaN fails."""
@@ -370,10 +380,7 @@ class GainGraph:
 
     def induced_subgraph(self, vertices) -> "GainGraph":
         """Restriction to a vertex subset, relabeled in increasing order."""
-        vs = sorted(set(int(v) for v in vertices))
-        for v in vs:
-            if not 0 <= v < self.n:
-                raise BadParameterError(f"vertex {v} out of range")
+        vs = _vertex_subset(self.n, vertices)
         index = np.full(self.n, -1, dtype=np.int64)
         index[vs] = np.arange(len(vs))
         # the relabeling is increasing, so kept edges stay canonical and sorted

@@ -11,7 +11,6 @@ the first-order sum over the remaining eigendirections.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +326,7 @@ _GAUGE_THRESHOLD = 1e-8     # standard entries this small are passed over by the
 _HERMITIAN_TOL = 1e-9       # largest hermitian defect the solvers and Mdet accept
 _CLUSTER_GAP = 1e-8         # relative gap within which standard eigenvalues share a supplement
 _MOORE_SIZE_CAP = 9         # the permutation sum takes n! terms
+_MOORE_TAIL = 7             # Moore words come in chunks of at most 7! = 5,040 rows
 
 
 def _eigensystem(a: DualMatrix, *, with_vectors: bool):
@@ -414,10 +414,17 @@ def _gauge(ring, v, x_d):
 def moore_determinant(a: DualMatrix) -> DualScalar:
     """Permutation-sum determinant for dual Hermitian matrices.
 
-    Each permutation is written as disjoint cycles with the minimal index
-    first inside every cycle and cycles ordered by decreasing leading index;
-    entry products follow that exact order, which makes the sum well defined
-    over the quaternions.  Equals the product of the eigenvalues.
+    Moore's order writes each permutation as disjoint cycles, the minimal
+    index first inside every cycle and the cycles by decreasing leading
+    index; the entry products follow that order, which makes the sum well
+    defined over the quaternions.  Written one after another, the cycles
+    form a word w of all n indices, and every such word is the canonical
+    form of exactly one permutation (Foata's bijection): its cycles start at
+    the left-to-right minima of w.  So the sum runs over all n! words, in
+    numpy chunks of at most _MOORE_TAIL! rows.  With lead_t = min(w_0..w_t),
+    factor t is a[w_t, w_{t+1}], or a[w_t, lead_t] when w_{t+1} starts a new
+    cycle or t is the last position, and the sign of the term is
+    (-1)^(n - number of minima).  Equals the product of the eigenvalues.
     """
     n = a.n_rows
     if a.n_cols != n:
@@ -427,46 +434,53 @@ def moore_determinant(a: DualMatrix) -> DualScalar:
     defect = a.hermitian_defect()
     if defect > _HERMITIAN_TOL:
         raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.3e}")
+    ring = a.ring
+    if n == 0:
+        return DualScalar.one(ring)
 
-    entries = [[a.entry(i, j) for j in range(n)] for i in range(n)]
-    cycle_products: dict[tuple, DualScalar] = {}
-
-    def product_of(cyc):
-        cached = cycle_products.get(cyc)
-        if cached is None:
-            cached = DualScalar.one(a.ring)
-            for u, v in zip(cyc, cyc[1:] + (cyc[0],)):
-                cached = cached * entries[u][v]
-            cycle_products[cyc] = cached
-        return cached
-
-    total = DualScalar.zero(a.ring)
-    for perm in itertools.permutations(range(n)):
-        cycles = _canonical_cycles(perm)
-        sign = -1.0 if (n - len(cycles)) % 2 else 1.0
-        prod = DualScalar.one(a.ring)
-        for cyc in cycles:
-            prod = prod * product_of(cyc)
-        total = total + (prod if sign > 0 else -prod)
-    return total
+    s = a.s.reshape((n * n,) + a.s.shape[2:])
+    d = a.d.reshape(s.shape)
+    total_s, total_d = rings.zeros(ring, ()), rings.zeros(ring, ())
+    for flat, sign in _moore_terms(n):
+        ps, pd = s[flat[:, 0]], d[flat[:, 0]]
+        for t in range(1, n):
+            ps, pd = rings.dual_mul(ring, ps, pd, s[flat[:, t]], d[flat[:, t]])
+        total_s += sign @ ps
+        total_d += sign @ pd
+    return DualScalar(ring, rings.get(ring, total_s, ()), rings.get(ring, total_d, ()))
 
 
-def _canonical_cycles(perm):
-    seen = [False] * len(perm)
-    cycles = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append(tuple(cyc))
-    cycles.sort(key=lambda c: -c[0])
-    return cycles
+def _moore_terms(n):
+    """The n! terms of the Moore sum, in chunks (flat, sign): row r of flat
+    holds the flat indices i * n + j of its n factors a[i, j] in Moore's
+    order, and sign[r] is +1.0 or -1.0.
+
+    A chunk is one head of n - k leading word positions, k = min(n,
+    _MOORE_TAIL), followed by every arrangement of the k indices the head
+    leaves out.
+    """
+    k = min(n, _MOORE_TAIL)
+    tails = _arrangements(k, k)
+    for head in _arrangements(n, n - k):
+        rest = np.delete(np.arange(n), head)
+        w = np.column_stack((np.broadcast_to(head, (len(tails), n - k)), rest[tails]))
+        lead = np.minimum.accumulate(w, axis=1)
+        starts = w == lead
+        closes = np.ones_like(starts)
+        closes[:, :-1] = starts[:, 1:]
+        flat = w * n + np.where(closes, lead, np.roll(w, -1, axis=1))
+        yield flat, 1.0 - 2.0 * ((n - starts.sum(axis=1)) % 2)
+
+
+def _arrangements(n, length):
+    """Every sequence of `length` distinct indices from range(n), one per
+    row, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(length):
+        used = (rows[:, :, None] == np.arange(n)).any(axis=1)
+        parent, value = np.nonzero(~used)
+        rows = np.column_stack((rows[parent], value))
+    return rows
 
 
 # ---------------------------------------------------------------------------

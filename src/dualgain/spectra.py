@@ -12,7 +12,7 @@ import numpy as np
 from . import _rings as rings
 from . import linalg
 from .errors import BadParameterError, RingMismatchError
-from .gain_graph import GainGraph
+from .gain_graph import GainGraph, _vertex_subset
 from .linalg import DualMatrix, DualVector
 from .scalars import (
     DualNumber,
@@ -251,7 +251,7 @@ def check_interlacing(phi: GainGraph, subset, kind: str = KIND_ADJACENCY) -> Int
     use the tolerance-aware dual order: standard parts within
     _INTERLACING_SLACK defer to dual parts with the same slack.
     """
-    subset = tuple(sorted(set(int(v) for v in subset)))
+    subset = tuple(_vertex_subset(phi.n, subset))
     if not subset:
         raise BadParameterError("subset must be nonempty")
     matrix = gain_matrix(phi, kind)

@@ -40,3 +40,17 @@ def dual_spectrum_triangle():
         DualScalar.complex((1 - 1j) / S2, 0),
         DualScalar.complex(-1j, 2),
     )
+
+
+@pytest.fixture
+def scalar_count(monkeypatch):
+    """A list that grows by one entry at every DualScalar construction."""
+    built = []
+    original = DualScalar.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualScalar, "__init__", counting)
+    return built

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import dualgain.cli as cli_module
 from dualgain import SizeCapExceededError, check_interlacing, spectrum
 from dualgain.cli import run
 from dualgain.graph_io import load, save
@@ -272,6 +273,26 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--keep", "0,999"], ["--keep=-1,2"], ["--drop", "99"],
+                                       ["--drop=-1"]])
+    def test_interlace_vertices_outside_the_graph(self, triangle_file, flags, capsys):
+        assert run(["interlace", triangle_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "out of range for n=3" in captured.err
+
+    def test_unexpected_failure_exits_two_without_traceback(self, triangle_file, monkeypatch,
+                                                            capsys):
+        def broken(args):
+            raise RuntimeError("synthetic\nfault")
+
+        monkeypatch.setitem(cli_module._HANDLERS, "spectrum", broken)
+        assert run(["spectrum", triangle_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal RuntimeError: synthetic fault\n"
 
     def test_output_file(self, tmp_path, triangle_file):
         out_file = tmp_path / "spec.json"

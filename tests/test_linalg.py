@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,11 +23,12 @@ from dualgain import (
     quaternion_hermitian_eigensystem,
 )
 from dualgain.graph_io import complete_graph
-from dualgain.linalg import _eigensystem, principal_submatrix
+from dualgain.linalg import _eigensystem, _moore_terms, principal_submatrix
 from dualgain.sampling import (
     random_balanced_gain_graph,
     random_hermitian_matrix,
     random_scalar,
+    random_unit_scalar,
 )
 from dualgain.spectra import adjacency_matrix
 
@@ -440,7 +443,107 @@ class TestArrayCoreAgainstOracle:
             assert rings.max_abs("quaternion", resid.d) <= 1e-11
 
 
+def canonical_cycles(perm):
+    """Moore's cycle form: the minimal index first inside every cycle and the
+    cycles by decreasing leading index."""
+    seen = [False] * len(perm)
+    cycles = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = perm[i]
+        while j != i:
+            cyc.append(j)
+            seen[j] = True
+            j = perm[j]
+        cycles.append(tuple(cyc))
+    cycles.sort(key=lambda c: -c[0])
+    return cycles
+
+
+def oracle_moore_determinant(a):
+    """The permutation loop: one DualScalar product per cycle, in Moore's
+    order, over itertools.permutations."""
+    n = a.n_rows
+    entries = [[a.entry(i, j) for j in range(n)] for i in range(n)]
+    cycle_products = {}
+
+    def product_of(cyc):
+        cached = cycle_products.get(cyc)
+        if cached is None:
+            cached = DualScalar.one(a.ring)
+            for u, v in zip(cyc, cyc[1:] + (cyc[0],)):
+                cached = cached * entries[u][v]
+            cycle_products[cyc] = cached
+        return cached
+
+    total = DualScalar.zero(a.ring)
+    for perm in itertools.permutations(range(n)):
+        cycles = canonical_cycles(perm)
+        prod = DualScalar.one(a.ring)
+        for cyc in cycles:
+            prod = prod * product_of(cyc)
+        total = total + (-prod if (n - len(cycles)) % 2 else prod)
+    return total
+
+
+def diagonal_matrix(rng, ring, n):
+    s, d = rings.zeros(ring, (n, n)), rings.zeros(ring, (n, n))
+    diag = np.arange(n)
+    (s[..., 0] if ring == "quaternion" else s)[diag, diag] = rng.normal(size=n)
+    (d[..., 0] if ring == "quaternion" else d)[diag, diag] = rng.normal(size=n)
+    return DualMatrix(ring, s, d)
+
+
+def antidiagonal_matrix(rng, ring, n):
+    """Unit gains g_i at (i, n-1-i) and their conjugates at the mirror; the
+    middle entry of an odd size is a real dual number."""
+    grid = [[DualScalar.zero(ring)] * n for _ in range(n)]
+    for i in range(n // 2):
+        g = random_unit_scalar(rng, ring)
+        grid[i][n - 1 - i], grid[n - 1 - i][i] = g, g.conjugate()
+    if n % 2:
+        grid[n // 2][n // 2] = DualScalar(ring, rng.normal(), rng.normal())
+    return DualMatrix.from_scalars(grid)
+
+
 class TestMooreDeterminant:
+    @pytest.mark.parametrize("n", range(7))
+    def test_terms_are_the_permutation_loop_terms(self, n):
+        words = Counter()
+        for flat, sign in _moore_terms(n):
+            for row, sgn in zip(flat.tolist(), sign.tolist()):
+                words[tuple(divmod(f, n) for f in row), sgn] += 1
+        loop = Counter()
+        for perm in itertools.permutations(range(n)):
+            cycles = canonical_cycles(perm)
+            factors = tuple((u, v) for cyc in cycles for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+            loop[factors, -1.0 if (n - len(cycles)) % 2 else 1.0] += 1
+        assert words == loop and sum(words.values()) == math.factorial(n)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_matches_the_permutation_loop(self, ring):
+        rng = np.random.default_rng(62)
+        cases = [DualMatrix.zeros(ring, 0)]
+        for n in range(1, 8):
+            cases += [random_hermitian_matrix(rng, ring, n), diagonal_matrix(rng, ring, n),
+                      antidiagonal_matrix(rng, ring, n)]
+        for a in cases:
+            got, want = moore_determinant(a), oracle_moore_determinant(a)
+            want_parts = [c for part in want.components() for c in part]
+            got_parts = [c for part in got.components() for c in part]
+            scale = max(1.0, *(abs(c) for c in want_parts))
+            assert max(abs(g - w) for g, w in zip(got_parts, want_parts)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_builds_no_scalar_per_term(self, ring, scalar_count):
+        a = random_hermitian_matrix(np.random.default_rng(63), ring, 8)
+        scalar_count.clear()
+        moore_determinant(a)
+        assert len(scalar_count) <= 2
+
     def test_unit_antidiagonal(self):
         g = DualScalar.complex(complex(math.cos(0.3), math.sin(0.3)))
         a = DualMatrix.from_scalars([[DualScalar.complex(0), g],

@@ -208,6 +208,11 @@ class TestInterlacing:
             subset = sorted(rng.choice(n, size=k, replace=False).tolist())
             assert check_interlacing(phi, subset, kind).holds
 
+    @pytest.mark.parametrize("subset", [[0, 3], [-1, 2], [0, 999]])
+    def test_vertices_outside_the_graph_are_refused(self, dual_spectrum_triangle, subset):
+        with pytest.raises(BadParameterError, match="out of range for n=3"):
+            check_interlacing(dual_spectrum_triangle, subset)
+
     @pytest.mark.parametrize("kind", [KIND_ADJACENCY, KIND_LAPLACIAN])
     def test_one_assembly_per_check(self, kind, dual_spectrum_triangle, monkeypatch):
         assembled = []
@@ -428,22 +433,15 @@ class TestArrayAssembly:
                     assert mat.s.tobytes() == s.tobytes() and mat.d.tobytes() == d.tobytes()
 
     @pytest.mark.parametrize("ring", RINGS)
-    def test_load_and_assembly_build_no_scalars(self, ring, monkeypatch):
+    def test_load_and_assembly_build_no_scalars(self, ring, scalar_count):
         rng = np.random.default_rng(31)
         text = serialize(random_gain_graph(rng, complete_graph(60, ring).graph, ring))
-        built = []
-        original = DualScalar.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(DualScalar, "__init__", counting)
+        scalar_count.clear()
         phi = parse(text)
         adjacency_matrix(phi)
         laplacian_matrix(phi)
-        assert phi.graph.m == 1770 and len(built) == 0
+        assert phi.graph.m == 1770 and len(scalar_count) == 0
         # the first scalar access builds the view once
         phi.gain(0, 1)
         list(phi.gains())
-        assert len(built) == 1770
+        assert len(scalar_count) == 1770
