@@ -389,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("radius", help="spectral radius bounds report"))
     p = sub.add_parser("interlace", help="induced-subgraph interlacing check")
     add_common(p)
-    p.add_argument("--keep", default=None, help="comma-separated vertices to keep")
-    p.add_argument("--drop", default=None, help="comma-separated vertices to drop")
+    subset = p.add_mutually_exclusive_group()
+    subset.add_argument("--keep", default=None, help="comma-separated vertices to keep")
+    subset.add_argument("--drop", default=None, help="comma-separated vertices to drop")
     add_common(sub.add_parser("charpoly", help="coefficient-theorem coefficients"),
                with_matrix=False)
     add_common(sub.add_parser("mdet", help="Moore determinant, both routes"),

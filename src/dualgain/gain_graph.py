@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,6 +180,30 @@ class PotentialCertificate:
     witness_cycle: tuple | None = None
 
 
+class _BalancePass(NamedTuple):
+    """What one balance pass finds: the BFS parent of every vertex (None at
+    roots), the potentials as split-layout arrays, and two masks over
+    `edge_array` marking the edges that break balance and antibalance."""
+
+    parent: list
+    theta_std: np.ndarray
+    theta_dual: np.ndarray
+    unbalanced: np.ndarray
+    unantibalanced: np.ndarray
+
+
+def _dual_inverse(ring, s, d):
+    """Elementwise (s + d eps)^-1 of split-layout arrays, as
+    DualScalar.inverse computes it: conj(s) / |s|^2 + (conj(d) / |s|^2 -
+    conj(s) 2 Re(conj(s) d) / |s|^4) eps."""
+    ns = rings.entry_abs(ring, s) ** 2
+    nd = 2.0 * (s.real * d.real + s.imag * d.imag)
+    if ring == RING_QUATERNION:
+        ns, nd = ns[:, None], nd.sum(axis=-1, keepdims=True)
+    cs = rings.conj(ring, s)
+    return cs * (1.0 / ns), rings.conj(ring, d) * (1.0 / ns) - cs * (nd / (ns * ns))
+
+
 def _vertex_subset(n, vertices):
     """The distinct vertices in increasing order; BadParameterError unless
     each lies in 0..n-1."""
@@ -206,8 +231,9 @@ class GainGraph:
     shape (m,) for real and complex gains and (m, 2) for quaternions (the
     `_rings` split layout).  `gains` may be a mapping from canonical edges to
     `DualScalar`s or a pair (std, dual) of such arrays; either way the unit
-    condition is checked here, for all edges at once, within `tol`.  The
-    graph keeps `tol` for switching, balance and the graphs it derives.
+    condition is checked here, for all edges at once, within `tol`, which
+    must be a number >= 0.  The graph keeps `tol` for switching, balance and
+    the graphs it derives.
     """
 
     __slots__ = ("graph", "ring", "std", "dual", "_tol", "_scalars")
@@ -215,6 +241,8 @@ class GainGraph:
     def __init__(self, graph: UnderlyingGraph, ring, gains, tol: float = 1e-9):
         if ring not in RINGS:
             raise RingMismatchError(f"unknown ring tag {ring!r}")
+        if not tol >= 0:
+            raise BadParameterError(f"unit/balance tolerance must be a number >= 0, got {tol!r}")
         scalars = None
         failure = None
         if isinstance(gains, Mapping):
@@ -337,26 +365,77 @@ class GainGraph:
         Searches start from each unvisited vertex in increasing order; tree
         edges define theta (roots fixed at 1).  The graph is balanced exactly
         when every edge satisfies the potential equation within `tol`; the
-        first violated edge yields its fundamental cycle as a witness.
+        first violated edge in `edge_array` order yields its fundamental
+        cycle as a witness.  The work is one _balance_pass.
         """
+        verdicts = self._balance_pass()
+        bad = np.flatnonzero(verdicts.unbalanced)
+        if bad.size:
+            u, v = self.graph.edge_array[bad[0]].tolist()
+            return PotentialCertificate(False, None, self._fundamental_cycle(verdicts.parent, u, v))
+        theta = zip(rings.to_values(self.ring, verdicts.theta_std),
+                    rings.to_values(self.ring, verdicts.theta_dual))
+        return PotentialCertificate(True, tuple(DualScalar(self.ring, s, d) for s, d in theta))
+
+    def _balance_pass(self) -> "_BalancePass":
+        """Balance and antibalance of the graph from one traversal.
+
+        A BFS forest over the CSR lists (roots in increasing order, neighbors
+        ascending) fixes each vertex's parent and depth.  The potentials
+        follow one level at a time, theta[w] = theta[v] gain(v -> w) for all
+        tree edges of a level at once, with roots at 1.  Every edge is then
+        tested at once against theta[u]^-1 theta[v], within `tol` in both
+        parts.  The potentials of -phi on the same forest are theta
+        (-1)^depth, so phi is antibalanced exactly when every edge carries
+        -(-1)^(depth u + depth v) theta[u]^-1 theta[v].
+        """
+        ring, n = self.ring, self.n
         indptr, indices = self.graph._adjacency_lists()
-        theta = [None] * self.n
-        parent = [None] * self.n
-        for root in range(self.n):
-            if theta[root] is not None:
+        parent = [None] * n
+        depth = [-1] * n
+        for root in range(n):
+            if depth[root] >= 0:
                 continue
-            theta[root] = DualScalar.one(self.ring)
+            depth[root] = 0
             tree = [root]
             for v in tree:      # breadth first: the list grows while it is read
                 for w in indices[indptr[v]:indptr[v + 1]]:
-                    if theta[w] is None:
-                        theta[w] = theta[v] * self.gain(v, w)
+                    if depth[w] < 0:
+                        depth[w] = depth[v] + 1
                         parent[w] = v
                         tree.append(w)
-        for u, v, g in self.gains():
-            if not g.allclose(theta[u].inverse() * theta[v], self.tol):
-                return PotentialCertificate(False, None, self._fundamental_cycle(parent, u, v))
-        return PotentialCertificate(True, tuple(theta), None)
+
+        depth = np.array(depth, dtype=np.int64)
+        child = np.flatnonzero(depth > 0)
+        child = child[np.argsort(depth[child], kind="stable")]
+        up = np.array([parent[w] for w in child.tolist()], dtype=np.int64)
+        # the gain of each tree edge, oriented parent -> child
+        lo, hi = np.minimum(up, child), np.maximum(up, child)
+        u, v = self.graph.edge_array.T
+        tree_edge = np.searchsorted(u * n + v, lo * n + hi)
+        down = (up < child).reshape((-1,) + (1,) * (self.std.ndim - 1))
+        gs, gd = (np.where(down, part[tree_edge], rings.conj(ring, part[tree_edge]))
+                  for part in (self.std, self.dual))
+        theta_s = rings.widen(RING_REAL, np.ones(n), ring)
+        theta_d = rings.zeros(ring, (n,))
+        cuts = [0, *(np.flatnonzero(np.diff(depth[child])) + 1).tolist(), len(child)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            p = up[a:b]
+            theta_s[child[a:b]], theta_d[child[a:b]] = rings.dual_mul(
+                ring, theta_s[p], theta_d[p], gs[a:b], gd[a:b])
+
+        inv_s, inv_d = _dual_inverse(ring, theta_s[u], theta_d[u])
+        rs, rd = rings.dual_mul(ring, inv_s, inv_d, theta_s[v], theta_d[v])
+        # -(-1)^(depth u + depth v): the edge gain of -phi's potentials, negated
+        sign = (2 * ((depth[u] + depth[v]) % 2) - 1).reshape((-1,) + (1,) * (rs.ndim - 1))
+        tol = self.tol
+
+        def violated(ts, td):
+            return ~((rings.entry_abs(ring, self.std - ts) <= tol)
+                     & (rings.entry_abs(ring, self.dual - td) <= tol))
+
+        return _BalancePass(parent, theta_s, theta_d, violated(rs, rd),
+                            violated(sign * rs, sign * rd))
 
     def _fundamental_cycle(self, parent, u, v):
         def chain(x):
@@ -373,10 +452,10 @@ class GainGraph:
         return tuple(down + list(reversed(back)) + [u])
 
     def is_balanced(self) -> bool:
-        return self.balance_certificate().balanced
+        return not self._balance_pass().unbalanced.any()
 
     def is_antibalanced(self) -> bool:
-        return self.negate().balance_certificate().balanced
+        return not self._balance_pass().unantibalanced.any()
 
     def induced_subgraph(self, vertices) -> "GainGraph":
         """Restriction to a vertex subset, relabeled in increasing order."""

@@ -6,7 +6,9 @@ _rings for the quaternion split layout).  The eigendecomposition works at
 first order: standard parts come from a dense Hermitian solve of A_s,
 repeated standard eigenvalues are refined through the supplement matrix
 W* A_d W of their eigenvector block, and eigenvector dual parts come from
-the first-order sum over the remaining eigendirections.
+the first-order sum over the remaining eigendirections.  The spectral
+radius alone needs less: the standard eigenvalues and a basis of one end
+cluster, found by block inverse iteration (_radius).
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import numpy as np
 
 from . import _rings as rings
 from .errors import (
+    BadParameterError,
     NotHermitianError,
     RingMismatchError,
     ShapeMismatchError,
     SizeCapExceededError,
 )
-from .scalars import DEFAULT_TOL, DualNumber, DualScalar, RING_QUATERNION, _re_part
+from .scalars import DEFAULT_TOL, DualNumber, DualScalar, RING_COMPLEX, RING_QUATERNION, _re_part
 
 
 class DualVector:
@@ -141,6 +144,14 @@ class DualMatrix:
             raise ShapeMismatchError("standard and dual parts differ in shape")
 
     # constructors ----------------------------------------------------
+
+    @classmethod
+    def _adopt(cls, ring, s, d) -> "DualMatrix":
+        """A matrix that takes over freshly built parts of the right dtype
+        and shape without copying them; the parts are frozen in place."""
+        out = cls.__new__(cls)
+        out.ring, out.s, out.d = ring, _freeze(s), _freeze(d)
+        return out
 
     @classmethod
     def zeros(cls, ring, n_rows, n_cols=None) -> "DualMatrix":
@@ -325,6 +336,8 @@ def hermitian_eigendecomposition(a: DualMatrix) -> list[EigenPair]:
 _GAUGE_THRESHOLD = 1e-8     # standard entries this small are passed over by the gauge
 _HERMITIAN_TOL = 1e-9       # largest hermitian defect the solvers and Mdet accept
 _CLUSTER_GAP = 1e-8         # relative gap within which standard eigenvalues share a supplement
+_INVERSE_STEPS = 8          # solves an end-cluster basis may take in _radius
+_END_RATIO = 1e-3           # largest contraction per solve that the end block accepts
 _MOORE_SIZE_CAP = 9         # the permutation sum takes n! terms
 _MOORE_TAIL = 7             # Moore words come in chunks of at most 7! = 5,040 rows
 
@@ -341,11 +354,7 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
     product X_d = V C with C_ji = G_ji / (w_i - w_j) off the clusters and 0
     on them, built in G's buffer; the gauge scales all columns at once.
     """
-    if a.n_rows != a.n_cols:
-        raise NotHermitianError("matrix is not square")
-    defect = a.hermitian_defect()
-    if defect > _HERMITIAN_TOL:
-        raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.3e}")
+    _check_hermitian(a)
     ring = a.ring
     n = a.n_rows
     if n == 0:
@@ -378,6 +387,116 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
     x_d = rings.matmul(ring, v, g)
     _gauge(ring, v, x_d)
     return values, tuple(DualVector(ring, v[:, i], x_d[:, i]) for i in order)
+
+
+def _check_hermitian(a: DualMatrix):
+    if a.n_rows != a.n_cols:
+        raise NotHermitianError("matrix is not square")
+    defect = a.hermitian_defect()
+    if defect > _HERMITIAN_TOL:
+        raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.3e}")
+
+
+def _radius(a: DualMatrix) -> DualNumber:
+    """The spectral radius of a dual Hermitian matrix: the largest
+    |lambda| under the dual-number order, as spectral_radius takes it over
+    the whole spectrum, from the standard eigenvalues and one end cluster.
+
+    The standard parts are w = eigvalsh(A_s) (over the 2n complex embedding
+    for quaternions, which repeats every eigenvalue), split into clusters by
+    the rule of _eigensystem.  Only an end cluster whose |w| ties max |w|
+    under that rule can hold the radius.  The dual parts of such a cluster
+    are the eigenvalues of its supplement W* A_d W, with W from
+    _end_basis; at the top end the radius candidate is (max w, max dual),
+    at the bottom end (min w, min dual).
+    """
+    _check_hermitian(a)
+    if a.n_rows == 0:
+        raise BadParameterError("spectral radius of an empty spectrum")
+    s, d = rings.symmetrize(a.ring, a.s), a.d
+    if a.ring == RING_QUATERNION:
+        s, d = rings.embed_quaternion(s), rings.embed_quaternion(d)
+    w = np.linalg.eigvalsh(s)
+    clusters = list(_clusters(w))
+    reach = max(-w[0], w[-1])       # max |w|
+    cap = _CLUSTER_GAP * max(1.0, reach)
+    candidates = []
+    # the top and the bottom cluster, once when they are the same
+    for c0, c1 in dict.fromkeys((clusters[-1], clusters[0])):
+        at_top = c1 == len(w) and reach - w[-1] <= cap
+        at_bottom = c0 == 0 and reach + w[0] <= cap
+        if not (at_top or at_bottom):
+            continue
+        basis = _end_basis(s, w, c0, c1)
+        # W* sym(A_d) W, symmetrized after the product: k x k, not n x n
+        dvals = np.linalg.eigvalsh(rings.symmetrize(RING_COMPLEX, basis.conj().T @ d @ basis))
+        if at_top:
+            candidates.append(DualNumber(w[-1], dvals[-1]).magnitude())
+        if at_bottom:
+            candidates.append(DualNumber(w[0], dvals[0]).magnitude())
+    return max(candidates)
+
+
+def _end_basis(s, w, c0, c1):
+    """An orthonormal basis of the invariant subspace of the Hermitian s
+    that belongs to its end cluster w[c0:c1] (w ascending, the whole
+    spectrum of s).
+
+    Block inverse iteration: solve (s - sigma) X = B with sigma the end
+    eigenvalue and B the fixed _start_block, take the Q of X, and repeat from Q
+    until the residual |s Q - Q (Q* s Q)| is at rounding level or
+    _INVERSE_STEPS solves are spent.  Each solve shrinks the directions
+    outside the block by the ratio of the farthest block eigenvalue's
+    distance from sigma to the nearest outside one's, so the block widens
+    past the cluster, nearest eigenvalues first, until that ratio is at most
+    _END_RATIO; a Rayleigh-Ritz step then keeps the cluster's k directions.
+    Where LU meets an exactly singular matrix (an integer matrix whose end
+    eigenvalue is exact), sigma moves outward, away from the spectrum, by
+    n eps max |w|.
+    """
+    n, k = len(w), c1 - c0
+    at_top = c1 == n
+    sigma = w[-1] if at_top else w[0]
+    dist = np.abs(w - sigma)
+    if at_top:
+        dist = dist[::-1]
+    fast = np.flatnonzero(dist[k - 1:-1] <= _END_RATIO * dist[k:])
+    width = k + int(fast[0]) if fast.size else n
+    if width == n:
+        q = np.eye(n, dtype=s.dtype)
+    else:
+        eps_n = n * np.finfo(np.float64).eps * max(1.0, -w[0], w[-1])
+        outward = eps_n if at_top else -eps_n
+        q = _start_block(n, width, s.dtype)
+        shifted, diag = s.copy(), np.diag_indices(n)
+        for _ in range(_INVERSE_STEPS):
+            shifted[diag] = s[diag] - sigma
+            try:
+                x = np.linalg.solve(shifted, q)
+            except np.linalg.LinAlgError:
+                sigma += outward
+                continue
+            q = np.linalg.qr(x)[0]
+            sq = s @ q
+            if np.abs(sq - q @ (q.conj().T @ sq)).max() <= eps_n:
+                break
+    if width == k:
+        return q
+    ritz = np.linalg.eigh(rings.symmetrize(RING_COMPLEX, q.conj().T @ s @ q))[1]
+    return q @ (ritz[:, -k:] if at_top else ritz[:, :k])
+
+
+def _start_block(n, width, dtype):
+    """An n x width block of fixed pseudo-random entries in [-1, 1), real
+    or complex as `dtype` is: splitmix64 of the entry index.  Inverse
+    iteration starts from the same generic block on every call, and loading
+    numpy.random (about 6 MB of resident memory) is not needed for it."""
+    size = n * width * (2 if np.dtype(dtype).kind == "c" else 1)
+    z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -52 - 1.0
+    return x.view(dtype).reshape(n, width)
 
 
 def _clusters(w):

@@ -92,7 +92,7 @@ def _adjacency_parts(phi: GainGraph):
 
 def adjacency_matrix(phi: GainGraph) -> DualMatrix:
     """a_ij = gain(i -> j) on edges, zero elsewhere; Hermitian by construction."""
-    return DualMatrix(phi.ring, *_adjacency_parts(phi))
+    return DualMatrix._adopt(phi.ring, *_adjacency_parts(phi))
 
 
 def laplacian_matrix(phi: GainGraph) -> DualMatrix:
@@ -105,7 +105,7 @@ def laplacian_matrix(phi: GainGraph) -> DualMatrix:
         s[diag, diag, 0] += phi.graph.degrees()
     else:
         s[diag, diag] += phi.graph.degrees()
-    return DualMatrix(phi.ring, s, d)
+    return DualMatrix._adopt(phi.ring, s, d)
 
 
 def gain_matrix(phi: GainGraph, kind: str) -> DualMatrix:
@@ -331,9 +331,14 @@ def underlying_radius(phi: GainGraph, kind: str = KIND_ADJACENCY) -> float:
 
 
 def radius_report(phi: GainGraph, kind: str = KIND_ADJACENCY) -> RadiusReport:
-    """Radius, bounds and equality of `phi`; balance is decided under `phi.tol`."""
+    """Radius, bounds and equality of `phi`; balance is decided under `phi.tol`.
+
+    The radius takes the standard eigenvalues and the supplement of one end
+    cluster (linalg._radius), not the whole dual spectrum; balance and
+    antibalance come from one pass over the graph.
+    """
     _check_kind(kind)
-    rho_gain = spectral_radius(spectrum(phi, kind, with_vectors=False))
+    rho_gain = linalg._radius(gain_matrix(phi, kind))
     rho_graph = underlying_radius(phi, kind)
     delta = float(phi.graph.max_degree())
     delta_bound = delta if kind == KIND_ADJACENCY else 2.0 * delta
@@ -342,8 +347,9 @@ def radius_report(phi: GainGraph, kind: str = KIND_ADJACENCY) -> RadiusReport:
     equality = (abs(rho_gain.std - rho_graph) <= _EQUALITY_TOL
                 and abs(rho_gain.dual) <= _EQUALITY_TOL)
     connected = phi.graph.is_connected()
-    balanced = phi.is_balanced()
-    antibalanced = phi.is_antibalanced()
+    verdicts = phi._balance_pass()
+    balanced = not verdicts.unbalanced.any()
+    antibalanced = not verdicts.unantibalanced.any()
     if connected:
         predicted = (balanced or antibalanced) if kind == KIND_ADJACENCY else antibalanced
         consistent = predicted == equality

@@ -283,6 +283,23 @@ class TestErrorHandling:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "out of range for n=3" in captured.err
 
+    def test_interlace_keep_and_drop_are_exclusive(self, triangle_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["interlace", triangle_file, "--keep", "0,1", "--drop", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--drop: not allowed with argument --keep" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+    @pytest.mark.parametrize("command", ["spectrum", "balance", "radius", "interlace"])
+    def test_nan_or_negative_tolerance(self, triangle_file, command, tol, capsys):
+        assert run([command, triangle_file, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "tolerance" in captured.err and "not a unit" not in captured.err
+
     def test_unexpected_failure_exits_two_without_traceback(self, triangle_file, monkeypatch,
                                                             capsys):
         def broken(args):

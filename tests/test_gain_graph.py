@@ -248,6 +248,18 @@ class TestGraphTolerance:
         with pytest.raises(AttributeError):
             loose.tol = 1e-9
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+    def test_nan_or_negative_refused(self, tol):
+        g = UnderlyingGraph(2, [(0, 1)])
+        with pytest.raises(BadParameterError, match="tolerance"):
+            GainGraph(g, "real", {(0, 1): DualScalar.one("real")}, tol=tol)
+        with pytest.raises(BadParameterError, match="tolerance"):
+            GainGraph(UnderlyingGraph(0), "real", {}, tol=tol)
+
+    def test_zero_accepted(self):
+        g = UnderlyingGraph(2, [(0, 1)])
+        assert GainGraph(g, "real", {(0, 1): DualScalar.one("real")}, tol=0.0).is_balanced()
+
     def test_balance_decided_under_it(self):
         # the cycle gain e^(1e-5 i) is 1 within 1e-3 but not within 1e-9
         g = UnderlyingGraph(3, [(0, 1), (0, 2), (1, 2)])
@@ -309,8 +321,10 @@ def bfs_components(n, edges):
 
 
 def component_bfs_certificate(phi):
-    """(balanced, theta, witness) as the certificate was computed with a
-    components() pass, a deque search per component and sorted gains."""
+    """(balanced, theta, witness) by the per-edge DualScalar loop: a
+    components() pass, a deque search per component, one scalar product per
+    tree edge and one inverse per edge.  The reference for the array
+    balance pass."""
     edges = list(phi.graph.edges)
     adj = {v: scan_neighbors(edges, v) for v in range(phi.n)}
     theta, parent = [None] * phi.n, [None] * phi.n
@@ -328,6 +342,18 @@ def component_bfs_certificate(phi):
         if not g.allclose(theta[u].inverse() * theta[v], phi.tol):
             return False, None, phi._fundamental_cycle(parent, u, v)
     return True, tuple(theta), None
+
+
+def assert_same_potentials(ring, got, expected):
+    """Real potentials agree bit for bit (repr keeps every digit and signed
+    zeros); complex and quaternion products round differently in numpy than
+    in Python scalars, so they agree to 1e-12."""
+    if got is None or expected is None or ring == "real":
+        assert repr(got) == repr(expected)
+        return
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert abs(a.std - b.std) <= 1e-12 and abs(a.dual - b.dual) <= 1e-12
 
 
 def per_edge_refusal(n, edges):
@@ -470,8 +496,7 @@ class TestArrayStorage:
                 cert = phi.balance_certificate()
                 balanced, theta, witness = component_bfs_certificate(phi)
                 assert cert.balanced == balanced and cert.witness_cycle == witness
-                # bit-identical potentials: repr keeps every digit and signed zeros
-                assert repr(cert.theta) == repr(theta)
+                assert_same_potentials(ring, cert.theta, theta)
                 verdicts.add((balanced, g.is_connected()))
         assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -507,3 +532,100 @@ class TestArrayStorage:
     def test_huge_vertex_count_refused_before_allocation(self):
         with pytest.raises(SizeCapExceededError, match="physical memory"):
             UnderlyingGraph(10**30)
+
+
+def disjoint_union(parts, bridge=False):
+    """The gain graphs side by side, relabeled in order; with `bridge`, the
+    first two are joined by an edge (0, n_0) of gain 1, which closes no
+    cycle."""
+    gains, shift = {}, 0
+    for phi in parts:
+        gains.update({(u + shift, v + shift): g for u, v, g in phi.gains()})
+        shift += phi.n
+    if bridge:
+        gains[(0, parts[0].n)] = DualScalar.one(parts[0].ring)
+    return GainGraph(UnderlyingGraph(shift, list(gains)), parts[0].ring, gains)
+
+
+def verdict_families(rng, ring):
+    """(name, graph) pairs covering every pair of balance / antibalance
+    verdicts, connected and not."""
+    n = int(rng.integers(4, 9))
+    tree = random_connected_graph(rng, n, int(rng.integers(0, 5)))
+    odd = UnderlyingGraph(n, sorted(set(tree.edges) | {(0, 1), (1, 2), (0, 2)}))
+    even = UnderlyingGraph(2 * n, [(i, (i + 1) % (2 * n)) for i in range(2 * n)]
+                           + [(0, 3), (2, 5)])
+    balanced = random_balanced_gain_graph(rng, odd, ring)
+    both = random_balanced_gain_graph(rng, even, ring)
+    yield "balanced", balanced
+    yield "antibalanced", balanced.negate()
+    yield "both", both
+    yield "neither", disjoint_union([balanced, balanced.negate()], bridge=True)
+    yield "disconnected neither", disjoint_union([balanced, balanced.negate()])
+    yield "disconnected balanced", disjoint_union([balanced, both])
+    yield "disconnected both", disjoint_union([both, GainGraph(UnderlyingGraph(1), ring, {}),
+                                               both])
+
+
+class TestBalancePass:
+    """The array pass against the per-edge DualScalar certificate."""
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_matches_per_edge_loop(self, ring):
+        rng = np.random.default_rng(26)
+        seen = {}
+        for _ in range(6):
+            for name, phi in verdict_families(rng, ring):
+                balanced, theta, witness = component_bfs_certificate(phi)
+                anti = component_bfs_certificate(phi.negate())[0]
+                cert = phi.balance_certificate()
+                assert (cert.balanced, cert.witness_cycle) == (balanced, witness)
+                assert_same_potentials(ring, cert.theta, theta)
+                assert phi.is_balanced() is balanced and phi.is_antibalanced() is anti
+                seen.setdefault(name, set()).add((balanced, anti))
+        assert seen == {"balanced": {(True, False)}, "antibalanced": {(False, True)},
+                        "both": {(True, True)}, "neither": {(False, False)},
+                        "disconnected neither": {(False, False)},
+                        "disconnected balanced": {(True, False)},
+                        "disconnected both": {(True, True)}}
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_potentials_of_the_negated_graph(self, ring):
+        # on the same forest the pass on -phi finds theta (-1)^depth
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            n = int(rng.integers(1, 12))
+            phi = random_gain_graph(rng, random_connected_graph(rng, n, 3), ring)
+            plus, minus = phi._balance_pass(), phi.negate()._balance_pass()
+            depth = []
+            for v in range(n):
+                d = 0
+                while plus.parent[v] is not None:
+                    v, d = plus.parent[v], d + 1
+                depth.append(d)
+            sign = ((-1.0) ** np.array(depth)).reshape((-1,) + (1,) * (phi.std.ndim - 1))
+            assert minus.parent == plus.parent
+            assert np.array_equal(minus.theta_std, sign * plus.theta_std)
+            assert np.array_equal(minus.theta_dual, sign * plus.theta_dual)
+            assert np.array_equal(minus.unbalanced, plus.unantibalanced)
+            assert np.array_equal(minus.unantibalanced, plus.unbalanced)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_verdicts_build_no_scalars_and_no_graphs(self, ring, scalar_count, monkeypatch):
+        rng = np.random.default_rng(28)
+        unbalanced = parse(serialize(random_gain_graph(rng, complete_graph(30, ring).graph, ring)))
+        balanced = parse(serialize(random_balanced_gain_graph(
+            rng, complete_graph(30, ring).graph, ring)))
+        built = []
+        original = GainGraph.__init__
+        monkeypatch.setattr(GainGraph, "__init__",
+                            lambda self, *a, **k: built.append(1) or original(self, *a, **k))
+        scalar_count.clear()
+        for phi in (unbalanced, balanced):
+            phi.is_balanced()
+            phi.is_antibalanced()
+        assert not unbalanced.balance_certificate().balanced
+        assert len(scalar_count) == 0 and built == []
+        # a balanced certificate builds its n potentials and nothing per edge
+        assert balanced.balance_certificate().balanced
+        assert len(scalar_count) == 30

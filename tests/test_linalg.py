@@ -7,6 +7,7 @@ import pytest
 
 import dualgain._rings as rings
 from dualgain import (
+    BadParameterError,
     DualMatrix,
     DualNumber,
     DualScalar,
@@ -22,15 +23,18 @@ from dualgain import (
     quaternion_adjoint_unembed,
     quaternion_hermitian_eigensystem,
 )
-from dualgain.graph_io import complete_graph
-from dualgain.linalg import _eigensystem, _moore_terms, principal_submatrix
+from dualgain.gain_graph import GainGraph, UnderlyingGraph
+from dualgain.graph_io import complete_graph, cycle_graph
+from dualgain.linalg import _CLUSTER_GAP, _eigensystem, _moore_terms, _radius, principal_submatrix
 from dualgain.sampling import (
     random_balanced_gain_graph,
+    random_connected_graph,
+    random_gain_graph,
     random_hermitian_matrix,
     random_scalar,
     random_unit_scalar,
 )
-from dualgain.spectra import adjacency_matrix
+from dualgain.spectra import adjacency_matrix, gain_matrix, spectral_radius, spectrum
 
 I, J, K = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
 
@@ -507,6 +511,138 @@ def antidiagonal_matrix(rng, ring, n):
     if n % 2:
         grid[n // 2][n // 2] = DualScalar(ring, rng.normal(), rng.normal())
     return DualMatrix.from_scalars(grid)
+
+
+def side_by_side(phi, copies=2):
+    """`copies` disjoint copies of a gain graph, relabeled in order."""
+    n, edges = phi.n, phi.graph.edge_array
+    graph = UnderlyingGraph(n * copies, np.concatenate([edges + i * n for i in range(copies)]))
+    return GainGraph(graph, phi.ring, (np.concatenate([phi.std] * copies),
+                                       np.concatenate([phi.dual] * copies)))
+
+
+def dual_twist(ring):
+    """A cycle gain that twists the dual part and keeps the standard part
+    balanced; the only real units are +-1, so the real ring takes -1."""
+    if ring == "real":
+        return DualScalar.real(-1)
+    if ring == "complex":
+        return DualScalar.complex(1, 0.3j)
+    return DualScalar.quaternion(Quaternion(1), Quaternion(0, 0.3, -0.2, 0.1))
+
+
+def radius_families(rng, ring):
+    """(name, gain graph) pairs: every shape of end cluster the radius
+    route meets."""
+    n = int(rng.integers(3, 14))
+    extra = int(rng.integers(0, 2 * n))
+    yield "random", random_gain_graph(rng, random_connected_graph(rng, n, extra), ring)
+    yield "edgeless", GainGraph(UnderlyingGraph(n), ring, {})
+    yield "single vertex", GainGraph(UnderlyingGraph(1), ring, {})
+    yield "balanced complete", random_balanced_gain_graph(rng, complete_graph(n, ring).graph, ring)
+    yield "twisted cycle", cycle_graph(n, dual_twist(ring))
+    yield "random cycle", cycle_graph(n, random_unit_scalar(rng, ring))
+    m = int(rng.integers(1, 6))
+    bipartite = UnderlyingGraph(n + m, [(u, n + v) for u in range(n) for v in range(m)
+                                        if rng.random() < 0.6])
+    yield "bipartite", random_gain_graph(rng, bipartite, ring)
+    yield "two copies", side_by_side(
+        random_gain_graph(rng, random_connected_graph(rng, n, 2), ring))
+
+
+def assert_radius_matches(a, tol_dual=1e-9):
+    got = _radius(a)
+    want = spectral_radius(_eigensystem(a, with_vectors=False)[0])
+    assert abs(got.std - want.std) <= 1e-12 * max(1.0, want.std)
+    assert abs(got.dual - want.dual) <= tol_dual * max(1.0, a.max_abs_parts()[1])
+
+
+class TestRadiusRoute:
+    """linalg._radius against the spectral radius of the whole dual spectrum."""
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+    def test_matches_the_dense_spectrum(self, ring, kind):
+        rng = np.random.default_rng(410)
+        names = set()
+        for _ in range(4):
+            for name, phi in radius_families(rng, ring):
+                got = _radius(gain_matrix(phi, kind))
+                want = spectral_radius(spectrum(phi, kind, with_vectors=False))
+                assert abs(got.std - want.std) <= 1e-12 * max(1.0, want.std), name
+                assert abs(got.dual - want.dual) <= 1e-9, name
+                names.add(name)
+        assert len(names) == 8
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_large_end_cluster(self, ring):
+        # the balanced complete Laplacian: one top cluster of n - 1 members
+        n = 120 if ring == "quaternion" else 200
+        phi = random_balanced_gain_graph(np.random.default_rng(411),
+                                         complete_graph(n, ring).graph, ring)
+        got = _radius(gain_matrix(phi, "laplacian"))
+        assert abs(got.std - n) <= 1e-12 * n and abs(got.dual) <= 1e-9
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("beyond", [50.0, 1.1])
+    def test_cluster_spread_near_the_gap(self, ring, beyond):
+        # two top eigenvalues 0.9 gap apart share a supplement; the next one
+        # lies `beyond` gaps further.  The rounding of A_s alone moves the
+        # cluster's subspace by about eps |A_s| / distance, and the dense
+        # quaternion route keeps the two members quaternion-orthogonal only
+        # to about eps |A_s| / (0.9 gap), so the tolerance scales with both.
+        rng = np.random.default_rng(412)
+        gap = _CLUSTER_GAP * 4.0
+        third = 4.0 - 0.9 * gap - beyond * gap
+        for _ in range(3):
+            values = [4.0, 4.0 - 0.9 * gap, third, 1.5, 0.25, -1.0, -2.5, 3.0 - 1.0]
+            a = engineered_matrix(rng, ring, values)
+            assert_radius_matches(a, 1e3 * np.finfo(float).eps * 4.0 / (4.0 - third))
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_random_hermitian_and_tied_ends(self, ring):
+        rng = np.random.default_rng(413)
+        for _ in range(5):
+            assert_radius_matches(random_hermitian_matrix(rng, ring, int(rng.integers(1, 12))))
+            # zero diagonal blocks: D A D = -A for D = diag(I, -I), so the
+            # dual spectrum is symmetric and its two ends tie; twice on the
+            # diagonal, both end clusters are repeated as well
+            n = int(rng.integers(1, 6))
+            a = random_hermitian_matrix(rng, ring, 2 * n)
+            s, d = np.array(a.s), np.array(a.d)
+            for part in (s, d):
+                part[:n, :n] = part[n:, n:] = 0
+            assert_radius_matches(DualMatrix(ring, s, d))
+            twice = [np.zeros((4 * n, 4 * n) + s.shape[2:], dtype=s.dtype) for _ in range(2)]
+            for out, part in zip(twice, (s, d)):
+                out[:2 * n, :2 * n] = out[2 * n:, 2 * n:] = part
+            assert_radius_matches(DualMatrix(ring, *twice))
+
+    def test_exactly_singular_shift_moves_outward(self, monkeypatch):
+        # eigvalsh returns the top eigenvalue 3 of an integer diagonal matrix
+        # exactly, so the first LU meets an exact zero pivot
+        singular = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(1)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        d = np.array([[0.0, 1.0, 0.5], [1.0, 2.0, -1.0], [0.5, -1.0, -0.75]])
+        got = _radius(DualMatrix("real", np.diag([1.0, 2.0, 3.0]), d))
+        assert singular and got.std == 3.0 and abs(got.dual + 0.75) <= 1e-12
+
+    def test_refusals(self):
+        with pytest.raises(NotHermitianError):
+            _radius(DualMatrix("real", np.array([[0.0, 1.0], [0.0, 0.0]])))
+        with pytest.raises(NotHermitianError):
+            _radius(DualMatrix("real", np.zeros((2, 3))))
+        with pytest.raises(BadParameterError):
+            _radius(DualMatrix("real", np.zeros((0, 0))))
 
 
 class TestMooreDeterminant:

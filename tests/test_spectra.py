@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dualgain._rings as rings
+import dualgain.linalg as linalg_module
 import dualgain.spectra as spectra_module
 from dualgain import (
     BadParameterError,
@@ -432,6 +437,25 @@ class TestArrayAssembly:
                     # bytes, so signed zeros count as well
                     assert mat.s.tobytes() == s.tobytes() and mat.d.tobytes() == d.tobytes()
 
+    def test_assembly_hands_its_arrays_over_without_a_copy(self, monkeypatch):
+        phi = cycle_graph(6, DualScalar.complex(1j, 0.5))
+        expected = [(m.s.copy(), m.d.copy())
+                    for m in (adjacency_matrix(phi), laplacian_matrix(phi))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled parts were copied")
+
+        monkeypatch.setattr(linalg_module, "_as_part", refuse)
+        for mat, (s, d) in zip((adjacency_matrix(phi), laplacian_matrix(phi)), expected):
+            assert np.array_equal(mat.s, s) and np.array_equal(mat.d, d)
+            assert not mat.s.flags.writeable and not mat.d.flags.writeable
+        # the public constructor still copies what its caller passes
+        monkeypatch.undo()
+        s = np.eye(3)
+        mat = spectra_module.DualMatrix("real", s)
+        s[0, 0] = 7.0
+        assert mat.s[0, 0] == 1.0
+
     @pytest.mark.parametrize("ring", RINGS)
     def test_load_and_assembly_build_no_scalars(self, ring, scalar_count):
         rng = np.random.default_rng(31)
@@ -445,3 +469,66 @@ class TestArrayAssembly:
         phi.gain(0, 1)
         list(phi.gains())
         assert len(scalar_count) == 1770
+
+
+class TestRadiusReportRoute:
+    """radius_report takes the extremal route: no full eigendecomposition,
+    no per-edge scalars, and nothing beyond numpy."""
+
+    @staticmethod
+    def graphs(ring):
+        rng = np.random.default_rng(32)
+        yield random_gain_graph(rng, random_connected_graph(rng, 30, 40), ring)
+        yield random_balanced_gain_graph(rng, complete_graph(12, ring).graph, ring)
+        yield cycle_graph(10, DualScalar.one(ring))
+        yield GainGraph(UnderlyingGraph(4), ring, {})
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_no_eigendecomposition(self, ring, monkeypatch):
+        cases = [(phi, kind) for phi in self.graphs(ring)
+                 for kind in (KIND_ADJACENCY, KIND_LAPLACIAN)]
+        dense = [spectral_radius(spectrum(phi, kind, with_vectors=False)) for phi, kind in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("radius_report ran a full eigendecomposition")
+
+        monkeypatch.setattr(linalg_module, "_eigensystem", refuse)
+        monkeypatch.setattr(rings, "eigh", refuse)
+        for (phi, kind), rho in zip(cases, dense):
+            assert radius_report(phi, kind).rho_gain.allclose(rho, 1e-9)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_builds_no_scalar_per_edge(self, ring, scalar_count):
+        rng = np.random.default_rng(33)
+        for make in (random_gain_graph, random_balanced_gain_graph):
+            phi = parse(serialize(make(rng, complete_graph(40, ring).graph, ring)))
+            scalar_count.clear()
+            for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+                radius_report(phi, kind)
+            assert len(scalar_count) == 0
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_matches_the_dense_route(self, ring):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            n = int(rng.integers(1, 16))
+            extra = int(rng.integers(0, 2 * n))
+            phi = random_gain_graph(rng, random_connected_graph(rng, n, extra), ring)
+            for graph in (phi, phi.negate(), random_balanced_gain_graph(rng, phi.graph, ring)):
+                for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+                    report = radius_report(graph, kind)
+                    dense = spectral_radius(spectrum(graph, kind, with_vectors=False))
+                    assert abs(report.rho_gain.std - dense.std) <= 1e-12 * max(1.0, dense.std)
+                    assert abs(report.rho_gain.dual - dense.dual) <= 1e-9
+                    assert report.balanced is graph.balance_certificate().balanced
+                    assert report.antibalanced is graph.negate().balance_certificate().balanced
+
+    def test_imports_no_scipy_and_no_numpy_random(self):
+        code = ("import sys; from dualgain import cycle_graph, DualScalar, radius_report; "
+                "radius_report(cycle_graph(9, DualScalar.complex(1j))); "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
