@@ -231,10 +231,6 @@ def entry_abs(ring, arr):
     return np.sqrt(np.abs(arr[..., 0]) ** 2 + np.abs(arr[..., 1]) ** 2)
 
 
-def frobenius(ring, arr):
-    return float(np.sqrt((entry_abs(ring, arr) ** 2).sum()))
-
-
 def max_abs(ring, arr):
     mags = entry_abs(ring, arr)
     return float(mags.max()) if mags.size else 0.0

@@ -25,6 +25,7 @@ from .scalars import (
     RING_COMPLEX,
     RING_QUATERNION,
     RINGS,
+    UNIT_TOL,
     parse_dual_scalar,
     render_dual_scalar,
 )
@@ -372,14 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra, balance and determinants of dual unit gain graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_file=True, with_matrix=True):
+    def add_common(p, with_file=True, with_matrix=True, with_tol=True):
         if with_file:
             p.add_argument("file", help="gain graph file (.ggf)")
         if with_matrix:
             p.add_argument("--matrix", choices=("adjacency", "laplacian"),
                            default="adjacency")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="unit/balance tolerance (default 1e-9)")
+        if with_tol:
+            p.add_argument("--tol", type=float, default=UNIT_TOL,
+                           help="unit/balance tolerance (default %(default)g)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -405,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total cycle gain, e.g. \"(0+1i) + (0+0i)*eps\"")
 
     p = sub.add_parser("path", help="closed-form path spectrum")
-    add_common(p, with_file=False)
+    add_common(p, with_file=False, with_tol=False)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("check", help="run a named property suite")
-    add_common(p, with_file=False, with_matrix=False)
+    add_common(p, with_file=False, with_matrix=False, with_tol=False)
     p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -426,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="re-serialize a file, optionally widening the ring")
     p.add_argument("file")
     p.add_argument("--ring", choices=RINGS, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=UNIT_TOL)
     p.add_argument("--out", default=None)
     return parser
 

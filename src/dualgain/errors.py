@@ -52,9 +52,9 @@ class DuplicateEdgeError(DualGainError):
 class NotUnitGainError(DualGainError):
     """An edge gain failed the unit condition."""
 
-    def __init__(self, edge, message=None):
+    def __init__(self, edge):
         self.edge = tuple(edge)
-        super().__init__(message or f"gain on edge {self.edge} is not a unit dual element")
+        super().__init__(f"gain on edge {self.edge} is not a unit dual element")
 
 
 class GraphSyntaxError(DualGainError):

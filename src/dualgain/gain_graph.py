@@ -29,7 +29,7 @@ from .errors import (
     RingMismatchError,
     SelfLoopError,
 )
-from .scalars import DualScalar, RING_QUATERNION, RING_REAL, RINGS
+from .scalars import DualScalar, RING_QUATERNION, RING_REAL, RINGS, UNIT_TOL, check_unit_tol
 
 
 def _canonical_edges(n, edges):
@@ -72,11 +72,11 @@ class UnderlyingGraph:
     """A simple undirected graph on vertices 0..n-1.
 
     `edge_array` holds the canonical pairs u < v, sorted.  The CSR adjacency
-    (row pointers and ascending neighbor lists) is built from it on first
-    use; dense spectra never read it.
+    (row pointers and ascending neighbor lists) and the BFS forest over it
+    are built on first use; dense spectra never read them.
     """
 
-    __slots__ = ("n", "edge_array", "_csr", "_edges", "_edge_set")
+    __slots__ = ("n", "edge_array", "_csr", "_forest", "_edges", "_edge_set")
 
     def __init__(self, n, edges=()):
         n = int(n)
@@ -86,7 +86,7 @@ class UnderlyingGraph:
         self.n = n
         self.edge_array = _canonical_edges(n, edges)
         self.edge_array.flags.writeable = False
-        self._csr = self._edges = self._edge_set = None
+        self._csr = self._forest = self._edges = self._edge_set = None
 
     @property
     def m(self) -> int:
@@ -135,27 +135,41 @@ class UnderlyingGraph:
         a[v, u] = 1.0
         return a
 
+    def _bfs_forest(self):
+        """(parent, depth, trees) of the breadth-first spanning forest, built
+        once: searches start from each unvisited vertex in increasing order
+        and visit neighbors ascending.  parent[v] is None at roots, depth is
+        a read-only int64 array, and trees holds each tree's vertices in
+        visiting order, one list per root."""
+        if self._forest is None:
+            indptr, indices = self._adjacency_lists()
+            parent = [None] * self.n
+            depth = [-1] * self.n
+            trees = []
+            for root in range(self.n):
+                if depth[root] >= 0:
+                    continue
+                depth[root] = 0
+                tree = [root]
+                for v in tree:      # breadth first: the list grows while it is read
+                    for w in indices[indptr[v]:indptr[v + 1]]:
+                        if depth[w] < 0:
+                            depth[w] = depth[v] + 1
+                            parent[w] = v
+                            tree.append(w)
+                trees.append(tree)
+            depth = np.array(depth, dtype=np.int64)
+            depth.flags.writeable = False
+            self._forest = (parent, depth, trees)
+        return self._forest
+
     def components(self) -> list[list[int]]:
         """Vertex sets of the components, each ascending, ordered by their
         smallest vertex."""
-        indptr, indices = self._adjacency_lists()
-        seen = [False] * self.n
-        comps = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            comp = [root]
-            for v in comp:      # breadth first: the list grows while it is read
-                for w in indices[indptr[v]:indptr[v + 1]]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return [sorted(tree) for tree in self._bfs_forest()[2]]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self._bfs_forest()[2]) <= 1
 
     def __eq__(self, other):
         if not isinstance(other, UnderlyingGraph):
@@ -238,11 +252,10 @@ class GainGraph:
 
     __slots__ = ("graph", "ring", "std", "dual", "_tol", "_scalars")
 
-    def __init__(self, graph: UnderlyingGraph, ring, gains, tol: float = 1e-9):
+    def __init__(self, graph: UnderlyingGraph, ring, gains, tol: float = UNIT_TOL):
         if ring not in RINGS:
             raise RingMismatchError(f"unknown ring tag {ring!r}")
-        if not tol >= 0:
-            raise BadParameterError(f"unit/balance tolerance must be a number >= 0, got {tol!r}")
+        check_unit_tol(tol)
         scalars = None
         failure = None
         if isinstance(gains, Mapping):
@@ -293,16 +306,6 @@ class GainGraph:
         std = rings.from_values(ring, [g.std for g in scalars.values()])
         dual = rings.from_values(ring, [g.dual for g in scalars.values()])
         return std, dual, scalars, failure
-
-    @classmethod
-    def build(cls, graph: UnderlyingGraph, gains, ring=None, tol: float = 1e-9) -> "GainGraph":
-        """Validate and build; gains map canonical edges (u < v) to scalars."""
-        gains = dict(gains)
-        if ring is None:
-            if not gains:
-                raise BadParameterError("cannot infer the ring of an edgeless graph")
-            ring = next(iter(gains.values())).ring
-        return cls(graph, ring, gains, tol)
 
     @property
     def n(self) -> int:
@@ -380,32 +383,16 @@ class GainGraph:
     def _balance_pass(self) -> "_BalancePass":
         """Balance and antibalance of the graph from one traversal.
 
-        A BFS forest over the CSR lists (roots in increasing order, neighbors
-        ascending) fixes each vertex's parent and depth.  The potentials
-        follow one level at a time, theta[w] = theta[v] gain(v -> w) for all
-        tree edges of a level at once, with roots at 1.  Every edge is then
-        tested at once against theta[u]^-1 theta[v], within `tol` in both
-        parts.  The potentials of -phi on the same forest are theta
+        The graph's BFS forest (UnderlyingGraph._bfs_forest) fixes each
+        vertex's parent and depth.  The potentials follow one level at a
+        time, theta[w] = theta[v] gain(v -> w) for all tree edges of a level
+        at once, with roots at 1.  Every edge is then tested at once against
+        theta[u]^-1 theta[v], within `tol` in both parts.  The potentials of -phi on the same forest are theta
         (-1)^depth, so phi is antibalanced exactly when every edge carries
         -(-1)^(depth u + depth v) theta[u]^-1 theta[v].
         """
         ring, n = self.ring, self.n
-        indptr, indices = self.graph._adjacency_lists()
-        parent = [None] * n
-        depth = [-1] * n
-        for root in range(n):
-            if depth[root] >= 0:
-                continue
-            depth[root] = 0
-            tree = [root]
-            for v in tree:      # breadth first: the list grows while it is read
-                for w in indices[indptr[v]:indptr[v + 1]]:
-                    if depth[w] < 0:
-                        depth[w] = depth[v] + 1
-                        parent[w] = v
-                        tree.append(w)
-
-        depth = np.array(depth, dtype=np.int64)
+        parent, depth, _ = self.graph._bfs_forest()
         child = np.flatnonzero(depth > 0)
         child = child[np.argsort(depth[child], kind="stable")]
         up = np.array([parent[w] for w in child.tolist()], dtype=np.int64)

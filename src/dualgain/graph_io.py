@@ -16,7 +16,7 @@ import numpy as np
 from . import _rings as rings
 from .errors import BadParameterError, BadRingError, GraphSyntaxError
 from .gain_graph import GainGraph, UnderlyingGraph
-from .scalars import RING_COMPLEX, RING_REAL, RING_WIDTH, RINGS, DualScalar
+from .scalars import RING_COMPLEX, RING_REAL, RING_WIDTH, RINGS, UNIT_TOL, DualScalar
 
 FORMAT_NAME = "dual-gain-graph"
 FORMAT_VERSION = 1
@@ -38,7 +38,7 @@ def serialize(phi: GainGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse(text: str, tol: float = 1e-9) -> GainGraph:
+def parse(text: str, tol: float = UNIT_TOL) -> GainGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -142,7 +142,7 @@ def save(phi: GainGraph, path) -> None:
         fh.write(serialize(phi))
 
 
-def load(path, tol: float = 1e-9) -> GainGraph:
+def load(path, tol: float = UNIT_TOL) -> GainGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read(), tol)
 

@@ -98,10 +98,10 @@ class DualVector:
     def is_appreciable(self, tol: float = DEFAULT_TOL) -> bool:
         return rings.max_abs(self.ring, self.s) > tol
 
-    def norm(self, tol: float = DEFAULT_TOL) -> DualNumber:
+    def norm(self) -> DualNumber:
         """Two-branch 2-norm: infinitesimal vectors get norm |x_d| eps."""
         ns = float((rings.entry_abs(self.ring, self.s) ** 2).sum())
-        if ns > tol * tol:
+        if ns > DEFAULT_TOL * DEFAULT_TOL:
             cross = rings.vdot(self.ring, self.s, self.d)
             sq = DualNumber(ns, 2.0 * _re_part(cross))
             return sq.sqrt()
@@ -154,9 +154,8 @@ class DualMatrix:
         return out
 
     @classmethod
-    def zeros(cls, ring, n_rows, n_cols=None) -> "DualMatrix":
-        n_cols = n_rows if n_cols is None else n_cols
-        return cls(ring, rings.zeros(ring, (n_rows, n_cols)))
+    def zeros(cls, ring, n) -> "DualMatrix":
+        return cls(ring, rings.zeros(ring, (n, n)))
 
     @classmethod
     def identity(cls, ring, n) -> "DualMatrix":
@@ -198,9 +197,6 @@ class DualMatrix:
     def entry(self, i, j) -> DualScalar:
         return DualScalar(self.ring, rings.get(self.ring, self.s, (i, j)),
                           rings.get(self.ring, self.d, (i, j)))
-
-    def column(self, j) -> DualVector:
-        return DualVector(self.ring, self.s[:, j], self.d[:, j])
 
     # arithmetic ------------------------------------------------------
 
@@ -244,10 +240,6 @@ class DualMatrix:
         return DualMatrix(self.ring, rings.conj_transpose(self.ring, self.s),
                           rings.conj_transpose(self.ring, self.d))
 
-    @property
-    def H(self) -> "DualMatrix":
-        return self.conj_transpose()
-
     def hermitian_defect(self) -> float:
         return max(rings.hermitian_defect(self.ring, self.s),
                    rings.hermitian_defect(self.ring, self.d))
@@ -262,9 +254,6 @@ class DualMatrix:
         s_inv = rings.inv(self.ring, self.s)
         d_inv = -rings.matmul(self.ring, s_inv, rings.matmul(self.ring, self.d, s_inv))
         return DualMatrix(self.ring, s_inv, d_inv)
-
-    def frobenius_parts(self) -> tuple[float, float]:
-        return rings.frobenius(self.ring, self.s), rings.frobenius(self.ring, self.d)
 
     def max_abs_parts(self) -> tuple[float, float]:
         return rings.max_abs(self.ring, self.s), rings.max_abs(self.ring, self.d)

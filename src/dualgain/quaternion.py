@@ -102,14 +102,8 @@ class Quaternion:
     def real(self) -> float:
         return self.w
 
-    def vector(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
     def vector_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.vector_norm() <= tol
 
     # comparison ------------------------------------------------------
 

@@ -38,16 +38,16 @@ def random_unit_scalar(rng: np.random.Generator, ring: str) -> DualScalar:
     return DualScalar.quaternion(qs, pd)
 
 
-def random_scalar(rng: np.random.Generator, ring: str, scale: float = 1.0) -> DualScalar:
-    """A generic (not unit) dual scalar with Gaussian components."""
+def random_scalar(rng: np.random.Generator, ring: str) -> DualScalar:
+    """A generic (not unit) dual scalar with standard Gaussian components."""
     if ring == RING_REAL:
-        return DualScalar.real(scale * rng.normal(), scale * rng.normal())
+        return DualScalar.real(rng.normal(), rng.normal())
     if ring == RING_COMPLEX:
-        s = complex(rng.normal(), rng.normal()) * scale
-        d = complex(rng.normal(), rng.normal()) * scale
+        s = complex(rng.normal(), rng.normal())
+        d = complex(rng.normal(), rng.normal())
         return DualScalar.complex(s, d)
-    s = Quaternion.from_components(scale * rng.normal(size=4))
-    d = Quaternion.from_components(scale * rng.normal(size=4))
+    s = Quaternion.from_components(rng.normal(size=4))
+    d = Quaternion.from_components(rng.normal(size=4))
     return DualScalar.quaternion(s, d)
 
 
@@ -78,9 +78,8 @@ def random_switching(rng: np.random.Generator, ring: str, n: int) -> list[DualSc
     return [random_unit_scalar(rng, ring) for _ in range(n)]
 
 
-def random_hermitian_matrix(rng: np.random.Generator, ring: str, n: int,
-                            scale: float = 1.0) -> DualMatrix:
-    grid = [[random_scalar(rng, ring, scale) for _ in range(n)] for _ in range(n)]
+def random_hermitian_matrix(rng: np.random.Generator, ring: str, n: int) -> DualMatrix:
+    grid = [[random_scalar(rng, ring) for _ in range(n)] for _ in range(n)]
     a = DualMatrix.from_scalars(grid)
     h = a + a.conj_transpose()
     return DualMatrix(ring, 0.5 * h.s, 0.5 * h.d)
@@ -117,24 +116,25 @@ def random_balanced_gain_graph(rng: np.random.Generator, graph: UnderlyingGraph,
     return GainGraph(graph, ring, gains)
 
 
-def random_unbalanced_connected(rng: np.random.Generator, n: int, ring: str,
-                                extra_edges: int = 2, max_tries: int = 256) -> GainGraph:
+_MAX_TRIES = 256
+
+
+def random_unbalanced_connected(rng: np.random.Generator, n: int, ring: str) -> GainGraph:
     """Connected graph with a certified unbalanced, non-antibalanced gain
     assignment (the strict-inequality case of the radius bound).
 
-    Signed graphs need at least two independent cycles for that to be
-    possible (an unbalanced odd cycle is automatically antibalanced), hence
-    the floor on n and extra edges for the real ring.
+    Each try draws a random spanning tree plus two extra edges, so the graph
+    has at least two independent cycles when n >= 4; signed graphs need that
+    (an unbalanced odd cycle is automatically antibalanced), hence their
+    floor on n.  RuntimeError after _MAX_TRIES draws without a hit.
     """
     if n < 3:
         raise ValueError("need n >= 3 for an unbalanced graph")
-    if ring == RING_REAL:
-        if n < 4:
-            raise ValueError("signed graphs need n >= 4 to be unbalanced and "
-                             "not antibalanced")
-        extra_edges = max(2, extra_edges)
-    for _ in range(max_tries):
-        graph = random_connected_graph(rng, n, max(1, extra_edges))
+    if ring == RING_REAL and n < 4:
+        raise ValueError("signed graphs need n >= 4 to be unbalanced and "
+                         "not antibalanced")
+    for _ in range(_MAX_TRIES):
+        graph = random_connected_graph(rng, n, 2)
         phi = random_gain_graph(rng, graph, ring)
         if not phi.is_balanced() and not phi.is_antibalanced():
             return phi

@@ -9,7 +9,8 @@ carry the lexicographic total order used everywhere spectra are sorted or
 radii compared.
 
 Zero tests are never exact: every routine that branches on "standard part
-vanishes" takes an absolute tolerance (default 1e-12).
+vanishes" compares against the absolute tolerance DEFAULT_TOL; the scalar
+tests `allclose`, `is_unit` and `is_appreciable` take it as a default.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numbers
 import re as _re
 from functools import total_ordering
 
-from .errors import InfinitesimalNotInvertibleError, RingMismatchError
+from .errors import BadParameterError, InfinitesimalNotInvertibleError, RingMismatchError
 from .quaternion import Quaternion
 
 RING_REAL = "real"
@@ -31,6 +32,16 @@ RINGS = (RING_REAL, RING_COMPLEX, RING_QUATERNION)
 RING_WIDTH = {RING_REAL: 1, RING_COMPLEX: 2, RING_QUATERNION: 4}
 
 DEFAULT_TOL = 1e-12
+
+#: Default tolerance of the unit condition and of balance: gain graphs,
+#: graph files, closed-form cycle gains and the CLI's --tol.
+UNIT_TOL = 1e-9
+
+
+def check_unit_tol(tol) -> None:
+    """BadParameterError unless a unit/balance tolerance is a number >= 0."""
+    if not tol >= 0:
+        raise BadParameterError(f"unit/balance tolerance must be a number >= 0, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +169,8 @@ class DualNumber:
     def __neg__(self):
         return DualNumber(-self.std, -self.dual)
 
-    def inverse(self, tol: float = DEFAULT_TOL) -> "DualNumber":
-        if abs(self.std) <= tol:
+    def inverse(self) -> "DualNumber":
+        if abs(self.std) <= DEFAULT_TOL:
             raise InfinitesimalNotInvertibleError(f"{self} has no inverse")
         inv = 1.0 / self.std
         return DualNumber(inv, -self.dual * inv * inv)
@@ -176,8 +187,8 @@ class DualNumber:
             return NotImplemented
         return o * self.inverse()
 
-    def magnitude(self, tol: float = DEFAULT_TOL) -> "DualNumber":
-        if abs(self.std) > tol:
+    def magnitude(self) -> "DualNumber":
+        if abs(self.std) > DEFAULT_TOL:
             sign = 1.0 if self.std > 0 else -1.0
             return DualNumber(abs(self.std), sign * self.dual)
         return DualNumber(0.0, abs(self.dual))
@@ -185,10 +196,10 @@ class DualNumber:
     def __abs__(self):
         return self.magnitude()
 
-    def sqrt(self, tol: float = DEFAULT_TOL) -> "DualNumber":
-        if abs(self.std) <= tol and abs(self.dual) <= tol:
+    def sqrt(self) -> "DualNumber":
+        if abs(self.std) <= DEFAULT_TOL and abs(self.dual) <= DEFAULT_TOL:
             return DualNumber(0.0, 0.0)
-        if self.std <= tol:
+        if self.std <= DEFAULT_TOL:
             raise ValueError(f"sqrt undefined for {self}")
         r = math.sqrt(self.std)
         return DualNumber(r, self.dual / (2.0 * r))
@@ -209,9 +220,6 @@ class DualNumber:
 
     def __hash__(self):
         return hash((self.std, self.dual))
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.std) <= tol and abs(self.dual) <= tol
 
     def allclose(self, other: "DualNumber", tol: float = DEFAULT_TOL) -> bool:
         return abs(self.std - other.std) <= tol and abs(self.dual - other.dual) <= tol
@@ -287,10 +295,6 @@ class DualScalar:
         return cls(ring, 1.0, 0.0)
 
     @classmethod
-    def eps(cls, ring) -> "DualScalar":
-        return cls(ring, 0.0, 1.0)
-
-    @classmethod
     def from_components(cls, ring, std_components, dual_components) -> "DualScalar":
         return cls(ring, _base_from_components(ring, std_components),
                    _base_from_components(ring, dual_components))
@@ -364,19 +368,15 @@ class DualScalar:
     def real_part(self) -> DualNumber:
         return DualNumber(_re_part(self.std), _re_part(self.dual))
 
-    def squared_magnitude(self) -> DualNumber:
+    def magnitude(self) -> DualNumber:
         s = abs(self.std)
-        return DualNumber(s * s, 2.0 * _re_part(_conj(self.std) * self.dual))
-
-    def magnitude(self, tol: float = DEFAULT_TOL) -> DualNumber:
-        s = abs(self.std)
-        if s > tol:
+        if s > DEFAULT_TOL:
             return DualNumber(s, _re_part(_conj(self.std) * self.dual) / s)
         return DualNumber(0.0, abs(self.dual))
 
-    def inverse(self, tol: float = DEFAULT_TOL) -> "DualScalar":
+    def inverse(self) -> "DualScalar":
         ns = abs(self.std) ** 2
-        if ns <= tol * tol:
+        if ns <= DEFAULT_TOL * DEFAULT_TOL:
             raise InfinitesimalNotInvertibleError(
                 "infinitesimal dual elements are not invertible")
         nd = 2.0 * _re_part(_conj(self.std) * self.dual)
@@ -390,11 +390,6 @@ class DualScalar:
     def is_unit(self, tol: float = DEFAULT_TOL) -> bool:
         cross = self.std * _conj(self.dual) + self.dual * _conj(self.std)
         return abs(abs(self.std) - 1.0) <= tol and abs(cross) <= tol
-
-    def to_dual_number(self) -> DualNumber:
-        if self.ring != RING_REAL:
-            raise RingMismatchError(f"{self.ring}-ring scalar is not a dual number")
-        return DualNumber(self.std, self.dual)
 
     def widen(self, ring) -> "DualScalar":
         """Explicit embedding into a wider ring (real -> complex/quaternion,
@@ -433,10 +428,6 @@ class DualScalar:
 
     def __str__(self):
         return render_dual_scalar(self)
-
-    @classmethod
-    def parse(cls, text: str, ring: str) -> "DualScalar":
-        return parse_dual_scalar(text, ring)
 
 
 # ---------------------------------------------------------------------------

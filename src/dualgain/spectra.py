@@ -13,13 +13,14 @@ from . import _rings as rings
 from . import linalg
 from .errors import BadParameterError, RingMismatchError
 from .gain_graph import GainGraph, _vertex_subset
-from .linalg import DualMatrix, DualVector
+from .linalg import DualMatrix
 from .scalars import (
     DualNumber,
     DualScalar,
     RING_COMPLEX,
     RING_QUATERNION,
     RING_REAL,
+    UNIT_TOL,
     dual_geq,
 )
 from .transcendental import DualAngle, dual_cos, reduce_to_complex, unit_to_angle
@@ -49,30 +50,12 @@ class Spectrum:
     def __len__(self):
         return len(self.values)
 
-    def to_dict(self, include_vectors: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The kind and the eigenvalues; vectors are not serialized."""
+        return {
             "kind": self.kind,
             "values": [{"std": v.std, "dual": v.dual} for v in self.values],
         }
-        if include_vectors and self.vectors is not None:
-            out["vectors"] = [
-                {
-                    "std": [list(c) for c in _vector_components(vec)[0]],
-                    "dual": [list(c) for c in _vector_components(vec)[1]],
-                }
-                for vec in self.vectors
-            ]
-        return out
-
-
-def _vector_components(vec: DualVector):
-    stds, duals = [], []
-    for i in range(vec.n):
-        e = vec.entry(i)
-        s, d = e.components()
-        stds.append(s)
-        duals.append(d)
-    return stds, duals
 
 
 def _adjacency_parts(phi: GainGraph):
@@ -145,7 +128,7 @@ def path_spectrum_closed_form(n: int, kind: str = KIND_ADJACENCY) -> Spectrum:
 
 
 def cycle_spectrum_closed_form(n: int, gain: DualScalar, kind: str = KIND_ADJACENCY,
-                               tol: float = 1e-9) -> Spectrum:
+                               tol: float = UNIT_TOL) -> Spectrum:
     """Closed-form cycle spectrum from the total cycle gain.
 
     For a dual complex unit gain with angle theta the adjacency eigenvalues

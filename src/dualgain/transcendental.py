@@ -20,6 +20,8 @@ from .scalars import (
     DualScalar,
     RING_COMPLEX,
     RING_QUATERNION,
+    UNIT_TOL,
+    check_unit_tol,
 )
 
 _TAU = 2.0 * math.pi
@@ -36,9 +38,6 @@ class DualAngle:
             std -= _TAU
         self.std = std
         self.dual = float(dual)
-
-    def to_dual_number(self) -> DualNumber:
-        return DualNumber(self.std, self.dual)
 
     def __eq__(self, other):
         if not isinstance(other, DualAngle):
@@ -62,20 +61,22 @@ def dual_exp(a: DualScalar) -> DualScalar:
     return DualScalar.complex(es, a.dual * es)
 
 
-def dual_log(a: DualScalar, tol: float = DEFAULT_TOL) -> DualScalar:
+def dual_log(a: DualScalar) -> DualScalar:
     """Principal-branch log(a) = log(a_s) + a_s**-1 a_d eps; needs a appreciable."""
     _require_complex(a, "dual_log")
-    if abs(a.std) <= tol:
+    if abs(a.std) <= DEFAULT_TOL:
         raise InfinitesimalNotInvertibleError("log of an infinitesimal dual complex number")
     return DualScalar.complex(cmath.log(a.std), a.dual / a.std)
 
 
-def unit_to_angle(a: DualScalar, tol: float = 1e-9) -> DualAngle:
+def unit_to_angle(a: DualScalar, tol: float = UNIT_TOL) -> DualAngle:
     """The dual angle theta with e**(i theta) = a, for unit dual complex a.
 
     theta_s is the principal argument of a_s and theta_d = -i a_d a_s*; the
-    unit condition makes theta_d real (the imaginary residue is dropped).
+    unit condition, checked within `tol` (a number >= 0), makes theta_d real
+    (the imaginary residue is dropped).
     """
+    check_unit_tol(tol)
     _require_complex(a, "unit_to_angle")
     if not a.is_unit(tol):
         raise NotUnitError(f"{a} is not a unit dual complex number")
@@ -94,11 +95,11 @@ def _exp_i(theta_s: float, theta_d: float) -> DualScalar:
     return DualScalar.complex(es, 1j * theta_d * es)
 
 
-def unit_nth_roots(a: DualScalar, n: int, tol: float = 1e-9) -> list[DualScalar]:
+def unit_nth_roots(a: DualScalar, n: int) -> list[DualScalar]:
     """The n distinct roots e**(i (theta + 2 pi j)/n), j = 0..n-1, of a unit a."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    theta = unit_to_angle(a, tol)
+    theta = unit_to_angle(a)
     return [_exp_i((theta.std + _TAU * j) / n, theta.dual / n) for j in range(n)]
 
 
@@ -125,14 +126,14 @@ def _align_vector_to_i(q: Quaternion) -> Quaternion:
     return u
 
 
-def reduce_to_complex(q: DualScalar, tol: float = DEFAULT_TOL) -> tuple[DualScalar, DualScalar]:
+def reduce_to_complex(q: DualScalar) -> tuple[DualScalar, DualScalar]:
     """Return (a, u) with a dual complex, u a unit dual quaternion, a = u* q u.
 
     The construction preserves Re(q) and |Im(q)| and splits on whether the
     standard part is real:
 
-    * q already of complex form (j and k components of both parts below tol):
-      (q, 1) after projection.
+    * q already of complex form (j and k components of both parts within
+      DEFAULT_TOL): (q, 1) after projection.
     * q_s real: rotate the vector part of q_d onto the i axis; u has no dual
       part.
     * otherwise: rotate the vector part of q_s onto the i axis, then cancel
@@ -144,12 +145,12 @@ def reduce_to_complex(q: DualScalar, tol: float = DEFAULT_TOL) -> tuple[DualScal
         raise RingMismatchError("reduce_to_complex expects a dual quaternion scalar")
     qs, qd = q.std, q.dual
 
-    if max(abs(qs.y), abs(qs.z), abs(qd.y), abs(qd.z)) <= tol:
+    if max(abs(qs.y), abs(qs.z), abs(qd.y), abs(qd.z)) <= DEFAULT_TOL:
         a = DualScalar.complex(complex(qs.w, qs.x), complex(qd.w, qd.x))
         return a, DualScalar.one(RING_QUATERNION)
 
     nq1 = qs.vector_norm()
-    if nq1 <= tol:
+    if nq1 <= DEFAULT_TOL:
         u = DualScalar.quaternion(_align_vector_to_i(qd))
     else:
         us = _align_vector_to_i(qs)

@@ -300,6 +300,24 @@ class TestErrorHandling:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "tolerance" in captured.err and "not a unit" not in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+    def test_cycle_nan_or_negative_tolerance(self, tol, capsys):
+        assert run(["cycle", "--n", "4", "--gain", "(0+1i) + (0+0i)*eps",
+                    f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "tolerance" in captured.err and "not a unit" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["check", "switching-invariance"], ["path", "--n", "4"]])
+    def test_tol_refused_where_unused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol 1e-3" in captured.err
+
     def test_unexpected_failure_exits_two_without_traceback(self, triangle_file, monkeypatch,
                                                             capsys):
         def broken(args):

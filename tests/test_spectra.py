@@ -523,6 +523,23 @@ class TestRadiusReportRoute:
                     assert report.balanced is graph.balance_certificate().balanced
                     assert report.antibalanced is graph.negate().balance_certificate().balanced
 
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_traverses_the_graph_once(self, ring, monkeypatch):
+        # connectivity and both balance verdicts of both kinds share one BFS forest
+        reads = []
+        csr = UnderlyingGraph._adjacency_lists
+
+        def counted(graph):
+            reads.append(graph)
+            return csr(graph)
+
+        monkeypatch.setattr(UnderlyingGraph, "_adjacency_lists", counted)
+        rng = np.random.default_rng(35)
+        phi = parse(serialize(random_gain_graph(rng, random_connected_graph(rng, 20, 10), ring)))
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            radius_report(phi, kind)
+        assert reads == [phi.graph]
+
     def test_imports_no_scipy_and_no_numpy_random(self):
         code = ("import sys; from dualgain import cycle_graph, DualScalar, radius_report; "
                 "radius_report(cycle_graph(9, DualScalar.complex(1j))); "

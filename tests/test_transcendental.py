@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dualgain import (
+    BadParameterError,
     DualAngle,
     DualNumber,
     DualScalar,
@@ -81,6 +82,15 @@ class TestAngles:
     def test_not_unit_raises(self):
         with pytest.raises(NotUnitError):
             unit_to_angle(DualScalar.complex(2.0))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_tolerance_refused_before_the_gain(self, tol):
+        # the gain i is a unit: only the tolerance is wrong
+        with pytest.raises(BadParameterError, match="unit/balance tolerance must be a number >= 0"):
+            unit_to_angle(DualScalar.complex(1j), tol)
+
+    def test_zero_tolerance_accepted(self):
+        assert unit_to_angle(DualScalar.complex(1j), 0.0).std == math.pi / 2
 
     def test_canonicalization(self):
         assert DualAngle(3 * math.pi).std == pytest.approx(math.pi)
