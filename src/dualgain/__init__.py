@@ -52,9 +52,6 @@ from .linalg import (
     EigenPair,
     hermitian_eigendecomposition,
     moore_determinant,
-    quaternion_adjoint_embed,
-    quaternion_adjoint_unembed,
-    quaternion_hermitian_eigensystem,
 )
 from .quaternion import Quaternion
 from .scalars import (

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotACycleError, SizeCapExceededError
 from .gain_graph import GainGraph, UnderlyingGraph
-from .scalars import DualNumber, DualScalar
+from .scalars import DualNumber, DualScalar, RING_QUATERNION
 
 SIZE_CAP = 12
 
@@ -70,8 +72,7 @@ def real_gain_of_cycle(phi: GainGraph, cycle) -> CycleRealGain:
     for u, v in zip(cyc, cyc[1:] + (cyc[0],)):
         if not phi.graph.has_edge(u, v):
             raise NotACycleError(f"({u}, {v}) is not an edge")
-    walk = list(cyc) + [cyc[0]]
-    return CycleRealGain(cyc, phi.gain_of_walk(walk).real_part())
+    return CycleRealGain(cyc, _real_gains(phi, [cyc])[cyc])
 
 
 def enumerate_cycles(graph: UnderlyingGraph) -> list[tuple]:
@@ -141,11 +142,26 @@ def enumerate_basic_subgraphs(graph: UnderlyingGraph, i: int) -> list[BasicSubgr
     return out
 
 
+def _real_gains(phi: GainGraph, cycles) -> dict:
+    """{cycle: R(C)} for simple cycles of `phi`, one walk fold per cycle
+    length."""
+    by_length = {}
+    for cyc in cycles:
+        by_length.setdefault(len(cyc), []).append(cyc)
+    real_gains = {}
+    for group in by_length.values():
+        s, d = phi._walk_gains(np.array([cyc + cyc[:1] for cyc in group]))
+        if phi.ring == RING_QUATERNION:
+            s, d = s[:, 0], d[:, 0]
+        real_gains.update(zip(group, map(DualNumber, s.real.tolist(), d.real.tolist())))
+    return real_gains
+
+
 def _weighted_sums(phi: GainGraph, size=None) -> list[DualNumber]:
     """Entry i is the sum of (-1)**p(B) * 2**c(B) * R(B) over the basic
     subgraphs B on i vertices (only entry `size` is filled when given)."""
     cycles = enumerate_cycles(phi.graph)
-    real_gains = {cyc: real_gain_of_cycle(phi, cyc).value for cyc in cycles}
+    real_gains = _real_gains(phi, cycles)
     sums = [DualNumber.zero() for _ in range(phi.n + 1)]
     for count, edges, cycs in _basic_parts(phi.graph, cycles, size):
         term = DualNumber(float(2 ** len(cycs)), 0.0)

@@ -5,10 +5,12 @@ reverse orientation carrying the inverse (equal to the conjugate for
 units).  Gains are stored once per undirected edge in the canonical
 orientation u < v, so the inverse constraint holds structurally.
 
-Storage is array-backed: a sorted (m, 2) int64 edge array, std/dual gain
-arrays aligned with it in the `_rings` split layout, and a CSR adjacency,
-the public `edges` tuple and the per-edge `DualScalar` view built from those
-arrays once, on first use.
+Storage is array-backed, and the arrays are the only representation: a
+sorted (m, 2) int64 edge array and std/dual gain arrays aligned with it in
+the `_rings` split layout.  The CSR adjacency, the edge keys and the public
+`edges` tuple are built from them on first use.  Walk gains, switching and
+balance are `_rings.dual_mul` passes over the arrays; a `DualScalar` exists
+only where a caller hands one in or asks for one back.
 """
 
 from __future__ import annotations
@@ -72,11 +74,11 @@ class UnderlyingGraph:
     """A simple undirected graph on vertices 0..n-1.
 
     `edge_array` holds the canonical pairs u < v, sorted.  The CSR adjacency
-    (row pointers and ascending neighbor lists) and the BFS forest over it
-    are built on first use; dense spectra never read them.
+    (row pointers and ascending neighbor lists), the BFS forest over it and
+    the edge keys are built on first use; dense spectra never read them.
     """
 
-    __slots__ = ("n", "edge_array", "_csr", "_forest", "_edges", "_edge_set")
+    __slots__ = ("n", "edge_array", "_csr", "_forest", "_edges", "_keys")
 
     def __init__(self, n, edges=()):
         n = int(n)
@@ -86,7 +88,7 @@ class UnderlyingGraph:
         self.n = n
         self.edge_array = _canonical_edges(n, edges)
         self.edge_array.flags.writeable = False
-        self._csr = self._forest = self._edges = self._edge_set = None
+        self._csr = self._forest = self._edges = self._keys = None
 
     @property
     def m(self) -> int:
@@ -110,11 +112,26 @@ class UnderlyingGraph:
             self._csr = (indptr.tolist(), tails[np.lexsort((tails, heads))].tolist())
         return self._csr
 
+    def _edge_index(self, u, v):
+        """(index, found) for the vertex pairs (u[i], v[i]) of two integer
+        arrays, in either orientation: found[i] when the pair is an edge, and
+        then index[i] is its row of `edge_array`.  Pairs are keyed lo n + hi
+        against the sorted keys of the edges, closed by the sentinel n^2;
+        vertices outside 0..n-1 are refused before keying, since (0, n + 2)
+        would take the key of (1, 2)."""
+        if self._keys is None:
+            lo, hi = self.edge_array.T
+            self._keys = np.append(lo * self.n + hi, self.n * self.n)
+        u, v = np.asarray(u), np.asarray(v)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        inside = (lo >= 0) & (hi < self.n)
+        key = (np.where(inside, lo, 0).astype(np.int64) * self.n
+               + np.where(inside, hi, 0).astype(np.int64))
+        index = np.searchsorted(self._keys, key)
+        return index, inside & (self._keys[index] == key)
+
     def has_edge(self, u, v) -> bool:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.edges)
-        e = (u, v) if u < v else (v, u)
-        return e in self._edge_set
+        return bool(self._edge_index([u], [v])[1][0])
 
     def neighbors(self, v):
         if not 0 <= v < self.n:
@@ -250,16 +267,15 @@ class GainGraph:
     the graphs it derives.
     """
 
-    __slots__ = ("graph", "ring", "std", "dual", "_tol", "_scalars")
+    __slots__ = ("graph", "ring", "std", "dual", "_tol")
 
     def __init__(self, graph: UnderlyingGraph, ring, gains, tol: float = UNIT_TOL):
         if ring not in RINGS:
             raise RingMismatchError(f"unknown ring tag {ring!r}")
         check_unit_tol(tol)
-        scalars = None
         failure = None
         if isinstance(gains, Mapping):
-            std, dual, scalars, failure = self._from_mapping(graph, ring, gains)
+            std, dual, failure = self._from_mapping(graph, ring, gains)
         else:
             std, dual = (np.asarray(part) for part in gains)
             shape = (graph.m, 2) if ring == RING_QUATERNION else (graph.m,)
@@ -281,15 +297,14 @@ class GainGraph:
         self.std = std
         self.dual = dual
         self._tol = tol
-        self._scalars = scalars
 
     @staticmethod
     def _from_mapping(graph, ring, gains):
-        """Arrays and scalar view of the gains of a {(u, v): DualScalar}
-        mapping, up to the first edge whose gain is missing or of another
-        ring; that failure is returned, to be raised after the unit check."""
+        """Arrays of the gains of a {(u, v): DualScalar} mapping, up to the
+        first edge whose gain is missing or of another ring; that failure is
+        returned, to be raised after the unit check."""
         gains = dict(gains)
-        scalars = {}
+        scalars = []
         failure = None
         for u, v in graph.edges:
             if (u, v) not in gains:
@@ -300,12 +315,12 @@ class GainGraph:
                 failure = RingMismatchError(
                     f"gain on ({u}, {v}) is not a {ring}-ring dual scalar")
                 break
-            scalars[(u, v)] = g
+            scalars.append(g)
         if failure is None and gains:
             failure = BadParameterError(f"gains given for non-edges: {sorted(gains)}")
-        std = rings.from_values(ring, [g.std for g in scalars.values()])
-        dual = rings.from_values(ring, [g.dual for g in scalars.values()])
-        return std, dual, scalars, failure
+        std = rings.from_values(ring, [g.std for g in scalars])
+        dual = rings.from_values(ring, [g.dual for g in scalars])
+        return std, dual, failure
 
     @property
     def n(self) -> int:
@@ -313,38 +328,46 @@ class GainGraph:
 
     tol = property(lambda self: self._tol, doc="The unit/balance tolerance of the graph.")
 
-    def _scalar_view(self) -> dict:
-        """{(u, v): DualScalar} over the canonical edges in sorted order,
-        built from the arrays on first use."""
-        if self._scalars is None:
-            self._scalars = {
-                e: DualScalar(self.ring, s, d) for e, s, d in zip(
-                    self.graph.edges, rings.to_values(self.ring, self.std),
-                    rings.to_values(self.ring, self.dual))}
-        return self._scalars
-
     def gain(self, u, v) -> DualScalar:
         """The gain of the oriented edge u -> v."""
-        if u < v:
-            return self._scalar_view()[(u, v)]
-        return self._scalar_view()[(v, u)].conjugate()
+        return self.gain_of_walk([u, v])
 
     def gains(self):
-        """Iterate (u, v, gain) over canonical edges."""
-        for (u, v), g in self._scalar_view().items():
-            yield u, v, g
+        """Iterate (u, v, gain) over canonical edges, each gain built from
+        the arrays as it is reached."""
+        for (u, v), s, d in zip(self.graph.edges, rings.to_values(self.ring, self.std),
+                                rings.to_values(self.ring, self.dual)):
+            yield u, v, DualScalar(self.ring, s, d)
 
     def gain_of_walk(self, walk) -> DualScalar:
         """Ordered product of oriented gains along a vertex sequence."""
         walk = [int(v) for v in walk]
         if len(walk) < 2:
             raise NotAWalkError("a walk needs at least two vertices")
-        out = DualScalar.one(self.ring)
-        for u, v in zip(walk, walk[1:]):
-            if not self.graph.has_edge(u, v):
-                raise NotAWalkError(f"({u}, {v}) is not an edge")
-            out = out * self.gain(u, v)
-        return out
+        s, d = self._walk_gains(np.array([walk]))
+        return DualScalar(self.ring, rings.get(self.ring, s, (0,)), rings.get(self.ring, d, (0,)))
+
+    def _walk_gains(self, walks):
+        """The ordered gain products of the walks in the rows of a (k, l + 1)
+        integer vertex array, as split-layout (std, dual) arrays of k values.
+
+        Each step u -> v takes the stored gain of its edge, conjugated where
+        u > v, so a one-step walk gives that gain bit for bit; the steps
+        multiply left to right with `_rings.dual_mul`.  NotAWalkError names
+        the first step, in row order, that is not an edge.
+        """
+        heads, tails = walks[:, :-1], walks[:, 1:]
+        index, found = self.graph._edge_index(heads, tails)
+        if not found.all():
+            k, t = np.argwhere(~found)[0]
+            raise NotAWalkError(f"({int(heads[k, t])}, {int(tails[k, t])}) is not an edge")
+        back = (heads > tails).reshape(index.shape + (1,) * (self.std.ndim - 1))
+        gs, gd = (np.where(back, rings.conj(self.ring, part[index]), part[index])
+                  for part in (self.std, self.dual))
+        ps, pd = gs[:, 0], gd[:, 0]
+        for t in range(1, index.shape[1]):
+            ps, pd = rings.dual_mul(self.ring, ps, pd, gs[:, t], gd[:, t])
+        return ps, pd
 
     def switch(self, zeta) -> "GainGraph":
         """Switched graph with gains zeta(u)^-1 gain(u, v) zeta(v)."""
@@ -356,8 +379,12 @@ class GainGraph:
                 raise RingMismatchError(f"switching value at vertex {i} has the wrong ring")
             if not z.is_unit(self.tol):
                 raise NotUnitError(f"switching value at vertex {i} is not a unit")
-        new_gains = {(u, v): zeta[u].inverse() * g * zeta[v] for u, v, g in self.gains()}
-        return GainGraph(self.graph, self.ring, new_gains, self.tol)
+        ring = self.ring
+        zs = rings.from_values(ring, [z.std for z in zeta])
+        zd = rings.from_values(ring, [z.dual for z in zeta])
+        u, v = self.graph.edge_array.T
+        left = rings.dual_mul(ring, *_dual_inverse(ring, zs[u], zd[u]), self.std, self.dual)
+        return GainGraph(self.graph, ring, rings.dual_mul(ring, *left, zs[v], zd[v]), self.tol)
 
     def negate(self) -> "GainGraph":
         return GainGraph(self.graph, self.ring, (-self.std, -self.dual), self.tol)
@@ -397,12 +424,7 @@ class GainGraph:
         child = child[np.argsort(depth[child], kind="stable")]
         up = np.array([parent[w] for w in child.tolist()], dtype=np.int64)
         # the gain of each tree edge, oriented parent -> child
-        lo, hi = np.minimum(up, child), np.maximum(up, child)
-        u, v = self.graph.edge_array.T
-        tree_edge = np.searchsorted(u * n + v, lo * n + hi)
-        down = (up < child).reshape((-1,) + (1,) * (self.std.ndim - 1))
-        gs, gd = (np.where(down, part[tree_edge], rings.conj(ring, part[tree_edge]))
-                  for part in (self.std, self.dual))
+        gs, gd = self._walk_gains(np.stack((up, child), axis=1))
         theta_s = rings.widen(RING_REAL, np.ones(n), ring)
         theta_d = rings.zeros(ring, (n,))
         cuts = [0, *(np.flatnonzero(np.diff(depth[child])) + 1).tolist(), len(child)]
@@ -411,6 +433,7 @@ class GainGraph:
             theta_s[child[a:b]], theta_d[child[a:b]] = rings.dual_mul(
                 ring, theta_s[p], theta_d[p], gs[a:b], gd[a:b])
 
+        u, v = self.graph.edge_array.T
         inv_s, inv_d = _dual_inverse(ring, theta_s[u], theta_d[u])
         rs, rd = rings.dual_mul(ring, inv_s, inv_d, theta_s[v], theta_d[v])
         # -(-1)^(depth u + depth v): the edge gain of -phi's potentials, negated

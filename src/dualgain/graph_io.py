@@ -176,15 +176,15 @@ def _check_n(n, least):
     return int(n)
 
 
-def _neutral_graph(n, edges, ring):
-    """Gain 1 on every edge of an (m, 2) canonical edge array."""
-    ones = rings.widen(RING_REAL, np.ones(len(edges)), ring)
-    return GainGraph(UnderlyingGraph(n, edges), ring, (ones, rings.zeros(ring, ones.shape[:1])))
+def _neutral_gains(m, ring):
+    """The split-layout (std, dual) arrays of gain 1 on m edges."""
+    return rings.widen(RING_REAL, np.ones(m), ring), rings.zeros(ring, (m,))
 
 
 def path_graph(n: int, ring: str = RING_COMPLEX) -> GainGraph:
     n = _check_n(n, 1)
-    return _neutral_graph(n, np.stack((np.arange(n - 1), np.arange(1, n)), axis=1), ring)
+    graph = UnderlyingGraph(n, np.stack((np.arange(n - 1), np.arange(1, n)), axis=1))
+    return GainGraph(graph, ring, _neutral_gains(graph.m, ring))
 
 
 def cycle_graph(n: int, gain: DualScalar) -> GainGraph:
@@ -195,16 +195,17 @@ def cycle_graph(n: int, gain: DualScalar) -> GainGraph:
     if not isinstance(gain, DualScalar):
         raise BadParameterError("cycle gain must be a dual scalar")
     ring = gain.ring
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    gains = {e: DualScalar.one(ring) for e in edges}
-    # stored on the canonical orientation (0, n-1); the walk uses (n-1, 0)
-    gains[(0, n - 1)] = gain.conjugate()
-    return GainGraph(UnderlyingGraph(n, edges), ring, gains)
+    graph = UnderlyingGraph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    std, dual = _neutral_gains(n, ring)
+    # (0, n-1) is row 1 of the sorted edges; the walk crosses it as (n-1, 0)
+    std[1], dual[1] = rings.conj(ring, rings.from_values(ring, [gain.std, gain.dual]))
+    return GainGraph(graph, ring, (std, dual))
 
 
 def complete_graph(n: int, ring: str = RING_COMPLEX) -> GainGraph:
     n = _check_n(n, 1)
-    return _neutral_graph(n, np.stack(np.triu_indices(n, 1), axis=1), ring)
+    graph = UnderlyingGraph(n, np.stack(np.triu_indices(n, 1), axis=1))
+    return GainGraph(graph, ring, _neutral_gains(graph.m, ring))
 
 
 def random_graph(n: int, p: float, seed: int, ring: str = RING_COMPLEX) -> GainGraph:

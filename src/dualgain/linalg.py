@@ -49,14 +49,10 @@ class DualVector:
         if not entries:
             raise ShapeMismatchError("empty vector needs an explicit ring")
         ring = entries[0].ring
-        s = rings.zeros(ring, (len(entries),))
-        d = rings.zeros(ring, (len(entries),))
-        for i, e in enumerate(entries):
-            if e.ring != ring:
-                raise RingMismatchError("mixed rings in vector entries")
-            rings.put(ring, s, (i,), e.std)
-            rings.put(ring, d, (i,), e.dual)
-        return cls(ring, s, d)
+        if any(e.ring != ring for e in entries):
+            raise RingMismatchError("mixed rings in vector entries")
+        return cls(ring, rings.from_values(ring, [e.std for e in entries]),
+                   rings.from_values(ring, [e.dual for e in entries]))
 
     @property
     def n(self) -> int:
@@ -168,17 +164,16 @@ class DualMatrix:
             raise ShapeMismatchError("empty matrix needs an explicit ring")
         ring = grid[0][0].ring
         n, m = len(grid), len(grid[0])
-        s = rings.zeros(ring, (n, m))
-        d = rings.zeros(ring, (n, m))
-        for i, row in enumerate(grid):
+        for row in grid:
             if len(row) != m:
                 raise ShapeMismatchError("ragged rows")
-            for j, e in enumerate(row):
-                if e.ring != ring:
-                    raise RingMismatchError("mixed rings in matrix entries")
-                rings.put(ring, s, (i, j), e.std)
-                rings.put(ring, d, (i, j), e.dual)
-        return cls(ring, s, d)
+            if any(e.ring != ring for e in row):
+                raise RingMismatchError("mixed rings in matrix entries")
+        entries = [e for row in grid for e in row]
+        s = rings.from_values(ring, [e.std for e in entries])
+        d = rings.from_values(ring, [e.dual for e in entries])
+        shape = (n, m) + s.shape[1:]
+        return cls(ring, s.reshape(shape), d.reshape(shape))
 
     # shape / access ----------------------------------------------------
 
@@ -534,14 +529,10 @@ def moore_determinant(a: DualMatrix) -> DualScalar:
     cycle or t is the last position, and the sign of the term is
     (-1)^(n - number of minima).  Equals the product of the eigenvalues.
     """
+    _check_hermitian(a)
     n = a.n_rows
-    if a.n_cols != n:
-        raise NotHermitianError("matrix is not square")
     if n > _MOORE_SIZE_CAP:
         raise SizeCapExceededError(f"n={n} exceeds the size cap {_MOORE_SIZE_CAP}")
-    defect = a.hermitian_defect()
-    if defect > _HERMITIAN_TOL:
-        raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.3e}")
     ring = a.ring
     if n == 0:
         return DualScalar.one(ring)
@@ -589,34 +580,3 @@ def _arrangements(n, length):
         parent, value = np.nonzero(~used)
         rows = np.column_stack((rows[parent], value))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# complex-adjoint embedding (public surface for the quaternion solve)
-
-
-def quaternion_adjoint_embed(q: np.ndarray) -> np.ndarray:
-    """Embed a split quaternion matrix (n, m, 2) as [[A1, A2],
-    [-conj(A2), conj(A1)]]."""
-    q = np.asarray(q, dtype=np.complex128)
-    if q.ndim != 3 or q.shape[-1] != 2:
-        raise ShapeMismatchError("expected a split quaternion array of shape (n, m, 2)")
-    return rings.embed_quaternion(q)
-
-
-def quaternion_adjoint_unembed(m: np.ndarray) -> np.ndarray:
-    """Read a split quaternion matrix back off an embedded complex matrix."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
-        raise ShapeMismatchError("expected an even-sized complex matrix")
-    return rings.unembed_quaternion(m)
-
-
-def quaternion_hermitian_eigensystem(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and split eigenvectors of a quaternion
-    Hermitian matrix; the doubled embedding spectrum is de-duplicated and one
-    quaternion eigenvector is recovered per eigenvalue."""
-    q = np.asarray(q, dtype=np.complex128)
-    if q.ndim != 3 or q.shape[-1] != 2 or q.shape[0] != q.shape[1]:
-        raise ShapeMismatchError("expected a square split quaternion array")
-    return rings.eigh(RING_QUATERNION, q)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .gain_graph import GainGraph, UnderlyingGraph
+from .graph_io import _neutral_gains
 from .linalg import DualMatrix
 from .quaternion import Quaternion
 from .scalars import (
@@ -110,10 +111,10 @@ def random_gain_graph(rng: np.random.Generator, graph: UnderlyingGraph,
 
 def random_balanced_gain_graph(rng: np.random.Generator, graph: UnderlyingGraph,
                                ring: str) -> GainGraph:
-    """Gains derived from a random potential, so the graph is balanced."""
-    theta = [random_unit_scalar(rng, ring) for _ in range(graph.n)]
-    gains = {(u, v): theta[u].inverse() * theta[v] for u, v in graph.edges}
-    return GainGraph(graph, ring, gains)
+    """Gains derived from a random potential, so the graph is balanced: the
+    neutral graph switched by one random unit per vertex."""
+    neutral = GainGraph(graph, ring, _neutral_gains(graph.m, ring))
+    return neutral.switch(random_switching(rng, ring, graph.n))
 
 
 _MAX_TRIES = 256

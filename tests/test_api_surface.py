@@ -126,8 +126,7 @@ PUBLIC_CALLABLES = {
     "enumerate_basic_subgraphs", "enumerate_cycles", "gain_matrix", "generate",
     "hermitian_eigendecomposition", "laplacian_matrix", "load",
     "mdet_via_subgraphs", "moore_determinant", "parse", "parse_dual_scalar",
-    "path_graph", "path_spectrum_closed_form", "quaternion_adjoint_embed",
-    "quaternion_adjoint_unembed", "quaternion_hermitian_eigensystem",
+    "path_graph", "path_spectrum_closed_form",
     "radius_report", "random_graph", "real_gain_of_cycle", "reduce_to_complex",
     "render_dual_scalar", "save", "serialize", "spectral_radius", "spectrum",
     "underlying_radius", "unit_nth_roots", "unit_to_angle",

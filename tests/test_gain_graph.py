@@ -17,11 +17,15 @@ from dualgain import (
     SelfLoopError,
     SizeCapExceededError,
     UnderlyingGraph,
+    coefficients,
     complete_graph,
     cycle_graph,
+    enumerate_cycles,
+    mdet_via_subgraphs,
     parse,
     serialize,
 )
+from dualgain.char_poly import _real_gains
 from dualgain.sampling import (
     random_balanced_gain_graph,
     random_connected_graph,
@@ -102,6 +106,31 @@ class TestWalkGain:
         phi = GainGraph(g, "real", {e: DualScalar.one("real") for e in g.edges})
         with pytest.raises(NotAWalkError):
             phi.gain_of_walk([0, 2])
+        # the first missing step in walk order is named
+        with pytest.raises(NotAWalkError, match=r"^\(1, 3\) is not an edge$"):
+            phi.gain_of_walk([0, 1, 3, 2, 0])
+
+    def test_gain_of_a_non_edge(self):
+        g = UnderlyingGraph(6, [(0, 1), (1, 2)])
+        phi = GainGraph(g, "complex", {e: DualScalar.one("complex") for e in g.edges})
+        for u, v in ((0, 5), (5, 0), (1, 1), (0, 6), (-1, 0)):
+            with pytest.raises(NotAWalkError, match=rf"^\({u}, {v}\) is not an edge$"):
+                phi.gain(u, v)
+
+    def test_out_of_range_vertices_are_not_edges(self):
+        # the key u n + v of (0, n + 2) is the key of (1, 2)
+        n = 4
+        g = UnderlyingGraph(n, [(1, 2)])
+        phi = GainGraph(g, "real", {(1, 2): DualScalar.real(-1)})
+        with pytest.raises(NotAWalkError, match=rf"\(0, {n + 2}\)"):
+            phi.gain_of_walk([0, n + 2])
+        with pytest.raises(NotAWalkError, match=rf"\({n + 2}, 0\)"):
+            phi.gain_of_walk([n + 2, 0, 1])
+        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        outside = [-n - 3, -n, -1, n, n + 1, n + 2, 2 * n, 10**30, -10**30]
+        for a in outside:
+            for b in list(range(n)) + outside:
+                assert not g.has_edge(a, b) and not g.has_edge(b, a)
 
 
 class TestSwitching:
@@ -389,6 +418,125 @@ def oracle_graphs(rng, ring):
     yield random_gain_graph(rng, complete_graph(n, ring).graph, ring)
     yield cycle_graph(n, DualScalar.one(ring))
     yield cycle_graph(n, random_unit_scalar(rng, ring))
+
+
+def scalar_gain(phi, u, v):
+    """The gain of u -> v from a per-edge DualScalar view of the arrays."""
+    view = {(a, b): g for a, b, g in phi.gains()}
+    return view[(u, v)] if u < v else view[(v, u)].conjugate()
+
+
+def per_edge_walk_gain(phi, walk):
+    """The walk gain as one DualScalar product per step."""
+    out = DualScalar.one(phi.ring)
+    for u, v in zip(walk, walk[1:]):
+        out = out * scalar_gain(phi, u, v)
+    return out
+
+
+def per_edge_switch(phi, zeta):
+    gains = {(u, v): zeta[u].inverse() * g * zeta[v] for u, v, g in phi.gains()}
+    return GainGraph(phi.graph, phi.ring, gains, phi.tol)
+
+
+def per_edge_balanced(rng, graph, ring):
+    """The potential -> gain sampler: theta[u]^-1 theta[v] per edge."""
+    theta = [random_unit_scalar(rng, ring) for _ in range(graph.n)]
+    gains = {(u, v): theta[u].inverse() * theta[v] for u, v in graph.edges}
+    return GainGraph(graph, ring, gains)
+
+
+def assert_same_scalars(ring, got, expected):
+    """Real results agree bit for bit; complex and quaternion ones, whose
+    numpy products round differently from Python scalar products, to 1e-14."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        if ring == "real":
+            assert (a.std, a.dual) == (b.std, b.dual)
+        else:
+            assert abs(a.std - b.std) <= 1e-14 and abs(a.dual - b.dual) <= 1e-14
+
+
+def gain_list(phi):
+    return [g for _, _, g in phi.gains()]
+
+
+class TestArrayRoutes:
+    """The walk fold, switching, the balanced sampler and the batched R(C)
+    against the per-edge DualScalar loops they replaced."""
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_walk_gains_match_the_scalar_product(self, ring):
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            for phi in oracle_graphs(rng, ring):
+                for u, v, g in phi.gains():
+                    # one step is the stored gain or its conjugate, bit for bit
+                    assert phi.gain_of_walk([u, v]) == g
+                    assert phi.gain(v, u) == g.conjugate()
+                walks = []
+                for _ in range(10):
+                    walk = [int(rng.integers(phi.n))]
+                    for _ in range(int(rng.integers(1, 12))):
+                        walk.append(int(rng.choice(phi.graph.neighbors(walk[-1]))))
+                    walks.append(walk)
+                assert_same_scalars(ring, [phi.gain_of_walk(w) for w in walks],
+                                    [per_edge_walk_gain(phi, w) for w in walks])
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_real_gains_match_the_per_cycle_loop(self, ring):
+        rng = np.random.default_rng(30)
+        for _ in range(3):
+            for phi in oracle_graphs(rng, ring):
+                cycles = enumerate_cycles(phi.graph)
+                batched = _real_gains(phi, cycles)
+                assert sorted(batched) == cycles
+                expected = [per_edge_walk_gain(phi, cyc + cyc[:1]).real_part()
+                            for cyc in cycles]
+                assert_same_scalars(ring, [batched[cyc] for cyc in cycles], expected)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_switch_matches_the_scalar_product(self, ring):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            for phi in oracle_graphs(rng, ring):
+                zeta = random_switching(rng, ring, phi.n)
+                switched = phi.switch(zeta)
+                assert switched.graph is phi.graph and switched.tol == phi.tol
+                assert_same_scalars(ring, gain_list(switched),
+                                    gain_list(per_edge_switch(phi, zeta)))
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_balanced_sampler_matches_the_potential_loop(self, ring):
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            for phi in oracle_graphs(rng, ring):
+                seed = int(rng.integers(2**32))
+                got = random_balanced_gain_graph(np.random.default_rng(seed), phi.graph, ring)
+                expected = per_edge_balanced(np.random.default_rng(seed), phi.graph, ring)
+                assert got.graph is phi.graph and got.is_balanced()
+                assert_same_scalars(ring, gain_list(got), gain_list(expected))
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_scalar_counts(self, ring, scalar_count):
+        n = 6
+        rng = np.random.default_rng(33)
+        phi = random_gain_graph(rng, complete_graph(n, ring).graph, ring)
+        zeta = random_switching(rng, ring, n)
+        gain = random_unit_scalar(rng, ring)
+        counts = {}
+        for name, call in (("coefficients", lambda: coefficients(phi)),
+                           ("mdet_via_subgraphs", lambda: mdet_via_subgraphs(phi)),
+                           ("gain_of_walk", lambda: phi.gain_of_walk([0, 1, 2, 3, 4, 5, 0])),
+                           ("switch", lambda: phi.switch(zeta)),
+                           ("cycle_graph", lambda: cycle_graph(n, gain)),
+                           ("random_balanced_gain_graph",
+                            lambda: random_balanced_gain_graph(rng, phi.graph, ring))):
+            scalar_count.clear()
+            call()
+            counts[name] = len(scalar_count)
+        assert counts == {"coefficients": 0, "mdet_via_subgraphs": 1, "gain_of_walk": 1,
+                          "switch": 0, "cycle_graph": 0, "random_balanced_gain_graph": n}
 
 
 class TestArrayStorage:
