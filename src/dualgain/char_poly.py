@@ -36,15 +36,6 @@ class BasicSubgraph:
     cycles: tuple
 
     @property
-    def vertices(self) -> frozenset:
-        out = set()
-        for u, v in self.edges:
-            out.update((u, v))
-        for cyc in self.cycles:
-            out.update(cyc)
-        return frozenset(out)
-
-    @property
     def component_count(self) -> int:
         return len(self.edges) + len(self.cycles)
 

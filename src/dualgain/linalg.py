@@ -1,14 +1,20 @@
 """Dual vectors and matrices, the dual Hermitian eigendecomposition, and the
 Moore determinant.
 
-A dual matrix A = A_s + A_d*eps is stored as two base-ring numpy arrays (see
-_rings for the quaternion split layout).  The eigendecomposition works at
-first order: standard parts come from a dense Hermitian solve of A_s,
-repeated standard eigenvalues are refined through the supplement matrix
-W* A_d W of their eigenvector block, and eigenvector dual parts come from
-the first-order sum over the remaining eigendirections.  The spectral
-radius alone needs less: the standard eigenvalues and a basis of one end
-cluster, found by block inverse iteration (_radius).
+A dual matrix A = A_s + A_d*eps is stored as two read-only base-ring numpy
+arrays (see _rings for the quaternion split layout).  DualVector and
+DualMatrix are one container, _DualArray: it copies and checks the data a
+caller hands in, and adopts, without a copy, the results it builds from
+fresh arrays; the eigenvectors of the solver are column views of one gauged
+block.
+
+The eigendecomposition works at first order: standard parts come from a
+dense Hermitian solve of A_s, repeated standard eigenvalues are refined
+through the supplement matrix W* A_d W of their eigenvector block, and
+eigenvector dual parts come from the first-order sum over the remaining
+eigendirections.  The spectral radius alone needs less: the standard
+eigenvalues and a basis of one end cluster, found by block inverse
+iteration (_radius).
 """
 
 from __future__ import annotations
@@ -28,61 +34,96 @@ from .errors import (
 from .scalars import DEFAULT_TOL, DualNumber, DualScalar, RING_COMPLEX, RING_QUATERNION, _re_part
 
 
-class DualVector:
-    """A dense vector of dual scalars with a uniform ring tag."""
+class _DualArray:
+    """A dense array of dual scalars with a uniform ring tag: the standard
+    and dual parts s and d are read-only base-ring arrays with _NDIM value
+    axes (and the split axis for quaternions)."""
 
     __slots__ = ("ring", "s", "d")
+    _NDIM = 0
+    _NOUN = ""
 
     def __init__(self, ring, s, d=None):
         rings.check_ring(ring)
         self.ring = ring
-        self.s = _freeze(_as_part(ring, s, vector=True))
+        self.s = _freeze(_as_part(ring, s, self._NDIM))
         if d is None:
             d = np.zeros_like(self.s)
-        self.d = _freeze(_as_part(ring, d, vector=True))
+        self.d = _freeze(_as_part(ring, d, self._NDIM))
         if self.s.shape != self.d.shape:
             raise ShapeMismatchError("standard and dual parts differ in shape")
 
     @classmethod
-    def from_scalars(cls, entries) -> "DualVector":
-        entries = list(entries)
-        if not entries:
-            raise ShapeMismatchError("empty vector needs an explicit ring")
-        ring = entries[0].ring
-        if any(e.ring != ring for e in entries):
-            raise RingMismatchError("mixed rings in vector entries")
-        return cls(ring, rings.from_values(ring, [e.std for e in entries]),
-                   rings.from_values(ring, [e.dual for e in entries]))
+    def _adopt(cls, ring, s, d):
+        """One that takes over freshly built parts of the right dtype and
+        shape without copying them; the parts are frozen in place."""
+        out = cls.__new__(cls)
+        out.ring, out.s, out.d = ring, _freeze(s), _freeze(d)
+        return out
+
+    @classmethod
+    def from_scalars(cls, entries):
+        """From DualScalars of one ring: a sequence for a vector, a sequence
+        of equally long rows for a matrix."""
+        rows = [list(row) for row in entries] if cls._NDIM == 2 else [list(entries)]
+        if not rows or not rows[0]:
+            raise ShapeMismatchError(f"empty {cls._NOUN} needs an explicit ring")
+        ring = rows[0][0].ring
+        for row in rows:
+            if len(row) != len(rows[0]):
+                raise ShapeMismatchError("ragged rows")
+            if any(e.ring != ring for e in row):
+                raise RingMismatchError(f"mixed rings in {cls._NOUN} entries")
+        flat = [e for row in rows for e in row]
+        s = rings.from_values(ring, [e.std for e in flat])
+        d = rings.from_values(ring, [e.dual for e in flat])
+        shape = (len(rows), len(rows[0])) if cls._NDIM == 2 else (len(rows[0]),)
+        shape += s.shape[1:]
+        return cls(ring, s.reshape(shape), d.reshape(shape))
+
+    def entry(self, *index) -> DualScalar:
+        return DualScalar(self.ring, rings.get(self.ring, self.s, index),
+                          rings.get(self.ring, self.d, index))
+
+    def _check(self, other, same_shape=True):
+        if not isinstance(other, type(self)):
+            raise ShapeMismatchError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other.ring != self.ring:
+            raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
+        if same_shape and other.s.shape != self.s.shape:
+            raise ShapeMismatchError(f"shape mismatch: {self.s.shape[:self._NDIM]} "
+                                     f"vs {other.s.shape[:self._NDIM]}")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._adopt(self.ring, self.s + other.s, self.d + other.d)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._adopt(self.ring, self.s - other.s, self.d - other.d)
+
+    def __neg__(self):
+        return self._adopt(self.ring, -self.s, -self.d)
+
+    def allclose(self, other, tol: float = DEFAULT_TOL) -> bool:
+        return (self.ring == other.ring and self.s.shape == other.s.shape
+                and rings.max_abs(self.ring, self.s - other.s) <= tol
+                and rings.max_abs(self.ring, self.d - other.d) <= tol)
+
+
+class DualVector(_DualArray):
+    """A dense vector of dual scalars with a uniform ring tag."""
+
+    __slots__ = ()
+    _NDIM = 1
+    _NOUN = "vector"
 
     @property
     def n(self) -> int:
         return self.s.shape[0]
 
-    def entry(self, i) -> DualScalar:
-        return DualScalar(self.ring, rings.get(self.ring, self.s, (i,)),
-                          rings.get(self.ring, self.d, (i,)))
-
     def __len__(self):
         return self.n
-
-    def __add__(self, other):
-        self._check(other)
-        return DualVector(self.ring, self.s + other.s, self.d + other.d)
-
-    def __sub__(self, other):
-        self._check(other)
-        return DualVector(self.ring, self.s - other.s, self.d - other.d)
-
-    def __neg__(self):
-        return DualVector(self.ring, -self.s, -self.d)
-
-    def _check(self, other):
-        if not isinstance(other, DualVector):
-            raise ShapeMismatchError(f"expected DualVector, got {type(other).__name__}")
-        if other.ring != self.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
-        if other.n != self.n:
-            raise ShapeMismatchError(f"length mismatch: {self.n} vs {other.n}")
 
     def dot(self, other: "DualVector") -> DualScalar:
         """x^H y (conjugation on self)."""
@@ -113,69 +154,18 @@ class DualVector:
         s = rings.scale_right(self.ring, self.s, a.std)
         d = (rings.scale_right(self.ring, self.s, a.dual)
              + rings.scale_right(self.ring, self.d, a.std))
-        return DualVector(self.ring, s, d)
-
-    def allclose(self, other: "DualVector", tol: float = DEFAULT_TOL) -> bool:
-        return (self.ring == other.ring and self.n == other.n
-                and rings.max_abs(self.ring, self.s - other.s) <= tol
-                and rings.max_abs(self.ring, self.d - other.d) <= tol)
+        return DualVector._adopt(self.ring, s, d)
 
     def __repr__(self):
         return f"DualVector({self.ring!r}, n={self.n})"
 
 
-class DualMatrix:
+class DualMatrix(_DualArray):
     """A dense matrix of dual scalars with a uniform ring tag."""
 
-    __slots__ = ("ring", "s", "d")
-
-    def __init__(self, ring, s, d=None):
-        rings.check_ring(ring)
-        self.ring = ring
-        self.s = _freeze(_as_part(ring, s, vector=False))
-        if d is None:
-            d = np.zeros_like(self.s)
-        self.d = _freeze(_as_part(ring, d, vector=False))
-        if self.s.shape != self.d.shape:
-            raise ShapeMismatchError("standard and dual parts differ in shape")
-
-    # constructors ----------------------------------------------------
-
-    @classmethod
-    def _adopt(cls, ring, s, d) -> "DualMatrix":
-        """A matrix that takes over freshly built parts of the right dtype
-        and shape without copying them; the parts are frozen in place."""
-        out = cls.__new__(cls)
-        out.ring, out.s, out.d = ring, _freeze(s), _freeze(d)
-        return out
-
-    @classmethod
-    def zeros(cls, ring, n) -> "DualMatrix":
-        return cls(ring, rings.zeros(ring, (n, n)))
-
-    @classmethod
-    def identity(cls, ring, n) -> "DualMatrix":
-        return cls(ring, rings.eye(ring, n))
-
-    @classmethod
-    def from_scalars(cls, grid) -> "DualMatrix":
-        grid = [list(row) for row in grid]
-        if not grid or not grid[0]:
-            raise ShapeMismatchError("empty matrix needs an explicit ring")
-        ring = grid[0][0].ring
-        n, m = len(grid), len(grid[0])
-        for row in grid:
-            if len(row) != m:
-                raise ShapeMismatchError("ragged rows")
-            if any(e.ring != ring for e in row):
-                raise RingMismatchError("mixed rings in matrix entries")
-        entries = [e for row in grid for e in row]
-        s = rings.from_values(ring, [e.std for e in entries])
-        d = rings.from_values(ring, [e.dual for e in entries])
-        shape = (n, m) + s.shape[1:]
-        return cls(ring, s.reshape(shape), d.reshape(shape))
-
-    # shape / access ----------------------------------------------------
+    __slots__ = ()
+    _NDIM = 2
+    _NOUN = "matrix"
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -188,31 +178,6 @@ class DualMatrix:
     @property
     def n_cols(self) -> int:
         return self.s.shape[1]
-
-    def entry(self, i, j) -> DualScalar:
-        return DualScalar(self.ring, rings.get(self.ring, self.s, (i, j)),
-                          rings.get(self.ring, self.d, (i, j)))
-
-    # arithmetic ------------------------------------------------------
-
-    def _check(self, other, same_shape=True):
-        if not isinstance(other, DualMatrix):
-            raise ShapeMismatchError(f"expected DualMatrix, got {type(other).__name__}")
-        if other.ring != self.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
-        if same_shape and other.shape != self.shape:
-            raise ShapeMismatchError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-    def __add__(self, other):
-        self._check(other)
-        return DualMatrix(self.ring, self.s + other.s, self.d + other.d)
-
-    def __sub__(self, other):
-        self._check(other)
-        return DualMatrix(self.ring, self.s - other.s, self.d - other.d)
-
-    def __neg__(self):
-        return DualMatrix(self.ring, -self.s, -self.d)
 
     def __matmul__(self, other):
         if isinstance(other, DualVector):
@@ -227,13 +192,11 @@ class DualMatrix:
         s = rings.matmul(self.ring, self.s, other.s)
         d = (rings.matmul(self.ring, self.s, other.d)
              + rings.matmul(self.ring, self.d, other.s))
-        return type(other)(self.ring, s, d)
-
-    # structure -------------------------------------------------------
+        return other._adopt(self.ring, s, d)
 
     def conj_transpose(self) -> "DualMatrix":
-        return DualMatrix(self.ring, rings.conj_transpose(self.ring, self.s),
-                          rings.conj_transpose(self.ring, self.d))
+        return DualMatrix._adopt(self.ring, rings.conj_transpose(self.ring, self.s),
+                                 rings.conj_transpose(self.ring, self.d))
 
     def hermitian_defect(self) -> float:
         return max(rings.hermitian_defect(self.ring, self.s),
@@ -248,29 +211,20 @@ class DualMatrix:
             raise ShapeMismatchError("inverse needs a square matrix")
         s_inv = rings.inv(self.ring, self.s)
         d_inv = -rings.matmul(self.ring, s_inv, rings.matmul(self.ring, self.d, s_inv))
-        return DualMatrix(self.ring, s_inv, d_inv)
-
-    def max_abs_parts(self) -> tuple[float, float]:
-        return rings.max_abs(self.ring, self.s), rings.max_abs(self.ring, self.d)
-
-    def allclose(self, other: "DualMatrix", tol: float = DEFAULT_TOL) -> bool:
-        return (self.ring == other.ring and self.shape == other.shape
-                and rings.max_abs(self.ring, self.s - other.s) <= tol
-                and rings.max_abs(self.ring, self.d - other.d) <= tol)
+        return DualMatrix._adopt(self.ring, s_inv, d_inv)
 
     def __repr__(self):
         return f"DualMatrix({self.ring!r}, shape={self.shape})"
 
 
-def _as_part(ring, data, vector):
+def _as_part(ring, data, ndim):
     arr = np.array(data, copy=True)
-    base_dims = 1 if vector else 2
     if ring == RING_QUATERNION:
-        if arr.ndim != base_dims + 1 or arr.shape[-1] != 2:
+        if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
             raise ShapeMismatchError("quaternion parts use split shape (..., 2)")
         return arr.astype(np.complex128, copy=False)
-    if arr.ndim != base_dims:
-        raise ShapeMismatchError(f"expected a {base_dims}-d array")
+    if arr.ndim != ndim:
+        raise ShapeMismatchError(f"expected a {ndim}-d array")
     if ring == "real":
         if np.iscomplexobj(arr):
             raise RingMismatchError("complex data in a real-ring part")
@@ -286,7 +240,7 @@ def _freeze(arr):
 def principal_submatrix(a: DualMatrix, subset) -> DualMatrix:
     """Rows and columns restricted to a vertex subset (in sorted order)."""
     idx = np.ix_(sorted(set(int(i) for i in subset)), sorted(set(int(i) for i in subset)))
-    return DualMatrix(a.ring, a.s[idx], a.d[idx])
+    return DualMatrix._adopt(a.ring, a.s[idx], a.d[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +290,8 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
     G[cl, cl] block, then rotates its columns of V and refreshes G.  Callers
     that need values only stop there.  The eigenvector dual parts are one
     product X_d = V C with C_ji = G_ji / (w_i - w_j) off the clusters and 0
-    on them, built in G's buffer; the gauge scales all columns at once.
+    on them, built in G's buffer; the gauge scales all columns at once.  The
+    eigenvectors are read-only column views of the gauged V and X_d.
     """
     _check_hermitian(a)
     ring = a.ring
@@ -370,7 +325,8 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
     g /= delta[..., None] if ring == RING_QUATERNION else delta
     x_d = rings.matmul(ring, v, g)
     _gauge(ring, v, x_d)
-    return values, tuple(DualVector(ring, v[:, i], x_d[:, i]) for i in order)
+    v, x_d = _freeze(v), _freeze(x_d)
+    return values, tuple(DualVector._adopt(ring, v[:, i], x_d[:, i]) for i in order)
 
 
 def _check_hermitian(a: DualMatrix):

@@ -98,10 +98,6 @@ class Quaternion:
             raise ZeroDivisionError("inverse of the zero quaternion")
         return self.conjugate() * (1.0 / n)
 
-    @property
-    def real(self) -> float:
-        return self.w
-
     def vector_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 

@@ -87,8 +87,7 @@ PUBLIC_CALLABLES = {
     "DualAngle.__init__",
     "DualMatrix.__init__", "DualMatrix.allclose",
     "DualMatrix.conj_transpose", "DualMatrix.entry", "DualMatrix.from_scalars",
-    "DualMatrix.hermitian_defect", "DualMatrix.identity", "DualMatrix.inverse",
-    "DualMatrix.is_hermitian", "DualMatrix.max_abs_parts", "DualMatrix.zeros",
+    "DualMatrix.hermitian_defect", "DualMatrix.inverse", "DualMatrix.is_hermitian",
     "DualNumber.__init__", "DualNumber.allclose", "DualNumber.inverse",
     "DualNumber.magnitude", "DualNumber.one", "DualNumber.sqrt",
     "DualNumber.to_scalar", "DualNumber.zero",
@@ -166,12 +165,16 @@ def _exported():
 def _callables():
     """(qualified name, function) over the exported functions, and over the
     constructors, public methods, classmethods and staticmethods of the
-    exported classes."""
+    exported classes, those they inherit from a `dualgain` base included."""
     for name, obj in _exported():
         if name.rsplit(".", 1)[-1].startswith("_"):
             continue
         if inspect.isclass(obj):
-            for attr, member in vars(obj).items():
+            members = {}
+            for base in reversed(obj.__mro__):
+                if base.__module__.split(".")[0] == "dualgain":
+                    members.update(vars(base))
+            for attr, member in members.items():
                 if attr.startswith("_") and attr != "__init__":
                     continue
                 member = getattr(member, "__func__", member)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dualgain._rings as rings
+import dualgain.linalg as linalg_module
 from dualgain import (
     BadParameterError,
     DualMatrix,
@@ -15,6 +16,8 @@ from dualgain import (
     NotHermitianError,
     Quaternion,
     RINGS,
+    RingMismatchError,
+    ShapeMismatchError,
     SingularStandardPartError,
     SizeCapExceededError,
     hermitian_eigendecomposition,
@@ -46,7 +49,7 @@ class TestMatmulInverse:
         rng = np.random.default_rng(0)
         for ring in RINGS:
             a = random_matrix(rng, ring, 4)
-            eye = DualMatrix.identity(ring, 4)
+            eye = DualMatrix(ring, rings.eye(ring, 4))
             assert (eye @ a).allclose(a, 1e-12)
             assert (a @ eye).allclose(a, 1e-12)
 
@@ -54,7 +57,7 @@ class TestMatmulInverse:
         n = np.array([[0.0, 1.0], [0.0, 0.0]])
         plus = DualMatrix("real", np.eye(2), n)
         minus = DualMatrix("real", np.eye(2), -n)
-        assert (plus @ minus).allclose(DualMatrix.identity("real", 2), 1e-15)
+        assert (plus @ minus).allclose(DualMatrix("real", rings.eye("real", 2)), 1e-15)
         # inverse of I + N eps is I - N eps
         assert plus.inverse().allclose(minus, 1e-15)
 
@@ -77,7 +80,7 @@ class TestMatmulInverse:
         rng = np.random.default_rng(17)
         for _ in range(10):
             a = random_matrix(rng, ring, 4)
-            eye = DualMatrix.identity(ring, 4)
+            eye = DualMatrix(ring, rings.eye(ring, 4))
             assert (a @ a.inverse()).allclose(eye, 1e-9)
             assert (a.inverse() @ a).allclose(eye, 1e-9)
 
@@ -121,7 +124,7 @@ def assert_valid_eigensystem(a, pairs, tol_s=1e-9, tol_d=1e-8):
 
 
 def test_parts_are_frozen():
-    a = DualMatrix.identity("complex", 3)
+    a = DualMatrix("complex", rings.eye("complex", 3))
     with pytest.raises(ValueError):
         a.s[0, 0] = 5.0
     x = DualVector("real", np.ones(3))
@@ -148,6 +151,191 @@ class TestDualVector:
         assert x.dot(y) == DualScalar.quaternion(-I * J)
 
 
+def random_parts(rng, ring, shape):
+    """Random standard and dual parts of the given value shape."""
+    def part():
+        if ring == "real":
+            return rng.normal(size=shape)
+        full = shape + ((2,) if ring == "quaternion" else ())
+        return rng.normal(size=full) + 1j * rng.normal(size=full)
+    return part(), part()
+
+
+def random_container(rng, cls, ring, n=3):
+    return cls(ring, *random_parts(rng, ring, (n,) * (1 if cls is DualVector else 2)))
+
+
+def assert_read_only(x):
+    assert not x.s.flags.writeable and not x.d.flags.writeable
+
+
+CONTAINERS = [DualVector, DualMatrix]
+
+
+class TestDualContainer:
+    """The construction, scalar bridges and elementwise algebra that
+    DualVector and DualMatrix share."""
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("cls", CONTAINERS)
+    def test_elementwise_algebra(self, cls, ring):
+        rng = np.random.default_rng(41)
+        x, y = random_container(rng, cls, ring), random_container(rng, cls, ring)
+        for got, s, d in ((x + y, x.s + y.s, x.d + y.d), (x - y, x.s - y.s, x.d - y.d),
+                          (-x, -x.s, -x.d)):
+            assert type(got) is cls and got.ring == ring
+            assert np.array_equal(got.s, s) and np.array_equal(got.d, d)
+            assert_read_only(got)
+        # a - b = -(b - a) and a - b = a + (-b)
+        assert (x - y).allclose(-(y - x), 0.0)
+        assert (x - y).allclose(x + (-y), 1e-15)
+
+    def test_len_and_repr(self):
+        x = DualVector("complex", np.ones(3))
+        assert len(x) == x.n == 3
+        assert repr(x) == "DualVector('complex', n=3)"
+        a = DualMatrix("quaternion", np.zeros((2, 3, 2)))
+        assert a.shape == (2, 3) and a.n_rows == 2 and a.n_cols == 3
+        assert repr(a) == "DualMatrix('quaternion', shape=(2, 3))"
+
+    @pytest.mark.parametrize("cls", CONTAINERS)
+    def test_allclose(self, cls):
+        rng = np.random.default_rng(42)
+        x = random_container(rng, cls, "complex")
+        assert x.allclose(cls("complex", x.s, x.d), 0.0)
+        shift = np.full(x.s.shape, 1e-6)
+        assert x.allclose(cls("complex", x.s + shift, x.d), 1e-5)
+        assert not x.allclose(cls("complex", x.s + shift, x.d), 1e-7)
+        assert not x.allclose(cls("complex", x.s, x.d + shift), 1e-7)
+        assert not x.allclose(cls("real", x.s.real, x.d.real))
+        assert not x.allclose(random_container(rng, cls, "complex", n=4))
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_entry_inverts_from_scalars(self, ring):
+        rng = np.random.default_rng(43)
+        entries = [random_scalar(rng, ring) for _ in range(6)]
+        x = DualVector.from_scalars(entries)
+        assert x.n == 6 and [x.entry(i) for i in range(6)] == entries
+        grid = [entries[:3], entries[3:]]
+        a = DualMatrix.from_scalars(grid)
+        assert a.shape == (2, 3)
+        assert [[a.entry(i, j) for j in range(3)] for i in range(2)] == grid
+        assert_read_only(x)
+        assert_read_only(a)
+
+    def test_from_scalars_refusals(self):
+        one, other = DualScalar.real(1.0), DualScalar.complex(1.0)
+        with pytest.raises(ShapeMismatchError, match="empty vector needs an explicit ring"):
+            DualVector.from_scalars([])
+        with pytest.raises(RingMismatchError, match="mixed rings in vector entries"):
+            DualVector.from_scalars([one, other])
+        for empty in ([], [[]]):
+            with pytest.raises(ShapeMismatchError, match="empty matrix needs an explicit ring"):
+                DualMatrix.from_scalars(empty)
+        with pytest.raises(ShapeMismatchError, match="ragged rows"):
+            DualMatrix.from_scalars([[one, one], [one]])
+        with pytest.raises(RingMismatchError, match="mixed rings in matrix entries"):
+            DualMatrix.from_scalars([[one, one], [one, other]])
+
+    @pytest.mark.parametrize("cls", CONTAINERS)
+    def test_operand_refusals(self, cls):
+        rng = np.random.default_rng(44)
+        x = random_container(rng, cls, "complex")
+        wrong_type = DualMatrix if cls is DualVector else DualVector
+        for other in (random_container(rng, wrong_type, "complex"), x.s):
+            with pytest.raises(ShapeMismatchError, match=f"expected {cls.__name__}"):
+                x + other
+        with pytest.raises(RingMismatchError, match="ring mismatch: complex vs quaternion"):
+            x - random_container(rng, cls, "quaternion")
+        with pytest.raises(ShapeMismatchError, match="shape mismatch"):
+            x + random_container(rng, cls, "complex", n=4)
+
+    def test_dot_refusals(self):
+        x = DualVector("real", np.ones(3))
+        with pytest.raises(RingMismatchError):
+            x.dot(DualVector("complex", np.ones(3)))
+        with pytest.raises(ShapeMismatchError, match=r"shape mismatch: \(3,\) vs \(4,\)"):
+            x.dot(DualVector("real", np.ones(4)))
+
+    @pytest.mark.parametrize("cls", CONTAINERS)
+    def test_constructor_refusals(self, cls):
+        value_shape = (3,) * (1 if cls is DualVector else 2)
+        with pytest.raises(ShapeMismatchError, match="split shape"):
+            cls("quaternion", np.zeros(value_shape))
+        with pytest.raises(ShapeMismatchError, match="split shape"):
+            cls("quaternion", np.zeros(value_shape + (4,)))
+        for ring in ("real", "complex"):
+            with pytest.raises(ShapeMismatchError, match=f"expected a {len(value_shape)}-d array"):
+                cls(ring, np.zeros(value_shape + (1,)))
+        with pytest.raises(RingMismatchError, match="complex data in a real-ring part"):
+            cls("real", np.full(value_shape, 1j))
+        with pytest.raises(RingMismatchError, match="complex data in a real-ring part"):
+            cls("real", np.zeros(value_shape), np.full(value_shape, 1j))
+        with pytest.raises(ShapeMismatchError, match="standard and dual parts differ in shape"):
+            cls("complex", np.zeros(value_shape), np.zeros((2,) * len(value_shape)))
+
+    def test_matmul_refusals(self):
+        a = DualMatrix("complex", np.ones((2, 3)))
+        with pytest.raises(RingMismatchError):
+            a @ DualVector("real", np.ones(3))
+        with pytest.raises(ShapeMismatchError, match=r"cannot apply \(2, 3\) to length 2"):
+            a @ DualVector("complex", np.ones(2))
+        with pytest.raises(RingMismatchError):
+            a @ DualMatrix("real", np.ones((3, 2)))
+        with pytest.raises(ShapeMismatchError, match=r"cannot multiply \(2, 3\) by \(2, 3\)"):
+            a @ a
+        with pytest.raises(ShapeMismatchError, match="expected DualMatrix, got ndarray"):
+            a @ np.ones(3)
+
+    def test_scale_right_ring_mismatch(self):
+        with pytest.raises(RingMismatchError):
+            DualVector("real", np.ones(2)).scale_right(DualScalar.complex(1j))
+
+    def test_inverse_needs_a_square_matrix(self):
+        with pytest.raises(ShapeMismatchError, match="inverse needs a square matrix"):
+            DualMatrix("real", np.ones((2, 3))).inverse()
+
+    def test_constructor_copies_caller_data(self):
+        s, d = np.ones(3), np.zeros(3)
+        x = DualVector("real", s, d)
+        s[0] = d[0] = 7.0
+        assert x.s[0] == 1.0 and x.d[0] == 0.0
+        assert_read_only(x)
+        assert s.flags.writeable
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_fresh_results_are_adopted_read_only(self, ring, monkeypatch):
+        rng = np.random.default_rng(45)
+        a = random_matrix(rng, ring, 4)
+        x = random_container(rng, DualVector, ring, n=4)
+        phi = complete_graph(5, ring)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fresh result was copied")
+
+        # no result below goes through the validating copy of caller data
+        monkeypatch.setattr(linalg_module, "_as_part", refuse)
+        results = [a + a, a - a, -a, a @ a, a @ x, a.conj_transpose(), a.inverse(),
+                   principal_submatrix(a, [0, 2]), x + x, x - x, -x,
+                   x.scale_right(random_scalar(rng, ring))]
+        results += spectrum(phi).vectors
+        results += [p.vector for p in hermitian_eigendecomposition(a @ a.conj_transpose())]
+        for r in results:
+            assert_read_only(r)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_eigenvectors_are_views_of_one_block(self, ring):
+        rng = np.random.default_rng(46)
+        spec = spectrum(random_gain_graph(rng, random_connected_graph(rng, 7, 4), ring))
+        block = spec.vectors[0].s.base
+        assert block is not None and not block.flags.writeable
+        for x in spec.vectors:
+            assert_read_only(x)
+            assert x.s.base is block and not x.s.flags.owndata
+            assert x.d.base is spec.vectors[0].d.base and not x.d.flags.owndata
+            assert np.shares_memory(x.s, block)
+
+
 class TestEigendecomposition:
     def test_skew_one_by_one_quaternion_rejected(self):
         # a 1x1 quaternion Hermitian matrix must be real
@@ -156,7 +344,7 @@ class TestEigendecomposition:
             hermitian_eigendecomposition(a)
 
     def test_identity_matrix(self):
-        a = DualMatrix.identity("complex", 4)
+        a = DualMatrix("complex", rings.eye("complex", 4))
         pairs = hermitian_eigendecomposition(a)
         for p in pairs:
             assert p.value.allclose(DualNumber.one(), 1e-12)
@@ -551,7 +739,7 @@ def assert_radius_matches(a, tol_dual=1e-9):
     got = _radius(a)
     want = spectral_radius(_eigensystem(a, with_vectors=False)[0])
     assert abs(got.std - want.std) <= 1e-12 * max(1.0, want.std)
-    assert abs(got.dual - want.dual) <= tol_dual * max(1.0, a.max_abs_parts()[1])
+    assert abs(got.dual - want.dual) <= tol_dual * max(1.0, rings.max_abs(a.ring, a.d))
 
 
 class TestRadiusRoute:
@@ -659,7 +847,7 @@ class TestMooreDeterminant:
     @pytest.mark.parametrize("ring", RINGS)
     def test_matches_the_permutation_loop(self, ring):
         rng = np.random.default_rng(62)
-        cases = [DualMatrix.zeros(ring, 0)]
+        cases = [DualMatrix(ring, rings.zeros(ring, (0, 0)))]
         for n in range(1, 8):
             cases += [random_hermitian_matrix(rng, ring, n), diagonal_matrix(rng, ring, n),
                       antidiagonal_matrix(rng, ring, n)]
@@ -703,7 +891,7 @@ class TestMooreDeterminant:
             assert off.std <= 1e-10 and abs(off.dual) <= 1e-9
 
     def test_size_cap(self):
-        a = DualMatrix.identity("real", 10)
+        a = DualMatrix("real", rings.eye("real", 10))
         with pytest.raises(SizeCapExceededError):
             moore_determinant(a)
 

@@ -249,3 +249,108 @@ class TestTextRoundTrip:
     def test_bad_text_raises(self):
         with pytest.raises(ValueError):
             parse_dual_scalar("not a scalar", "real")
+
+
+class TestReflectedArithmetic:
+    """Division, reflected operators, abs, inverses and widening, each
+    against an identity that does not use the operator under test."""
+
+    def test_dual_number_inverse_and_division(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            x = DualNumber(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]), rng.normal())
+            y = DualNumber(rng.uniform(0.5, 2.0), rng.normal())
+            inv = x.inverse()
+            assert (x * inv).allclose(DualNumber.one(), 1e-14)
+            # d(1/x) = -x_d / x_s^2
+            assert inv.allclose(DualNumber(1.0 / x.std, -x.dual / x.std ** 2), 1e-14)
+            # y / x solves q * x = y
+            assert ((y / x) * x).allclose(y, 1e-13)
+            # reflected: 3 / x = 3 * x^-1, and a float over x
+            assert (3.0 / x).allclose(DualNumber(3.0) * inv, 1e-14)
+            assert (x / 2.0).allclose(DualNumber(x.std / 2.0, x.dual / 2.0), 0.0)
+        with pytest.raises(InfinitesimalNotInvertibleError):
+            DualNumber(0.0, 1.0).inverse()
+        with pytest.raises(InfinitesimalNotInvertibleError):
+            1.0 / DualNumber(0.0, 1.0)
+
+    def test_dual_number_reflected_sub_and_abs(self):
+        x = DualNumber(-2.0, 3.0)
+        assert 5.0 - x == DualNumber(7.0, -3.0) == -(x - 5.0)
+        assert 1 - x == DualNumber(3.0, -3.0)
+        # |x| flips the dual part with the sign of the standard part
+        assert abs(x) == DualNumber(2.0, -3.0) == x.magnitude()
+        assert abs(DualNumber(2.0, 3.0)) == DualNumber(2.0, 3.0)
+        assert abs(DualNumber(0.0, -3.0)) == DualNumber(0.0, 3.0)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_dual_scalar_reflected_mul_keeps_factor_order(self, ring):
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            a, b = random_scalar(rng, ring), random_scalar(rng, ring)
+            # a base-ring value on the left acts as the scalar (b_s, 0)
+            got = b.std * a
+            want = DualScalar(ring, b.std * a.std, b.std * a.dual)
+            assert got.allclose(want, 1e-13)
+            # a DualNumber on the left acts as the real scalar (x_s, x_d)
+            x = DualNumber(rng.normal(), rng.normal())
+            got = x * a
+            want = DualScalar(ring, x.std * a.std, x.std * a.dual + x.dual * a.std)
+            assert got.allclose(want, 1e-13)
+        if ring == "quaternion":
+            # I on the left, J on the right: I J = K, where J I = -K
+            assert I * DualScalar.quaternion(J, J) == DualScalar.quaternion(K, K)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_dual_scalar_reflected_sub_and_division(self, ring):
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            a, b = random_scalar(rng, ring), random_scalar(rng, ring)
+            # 1 - a = -(a - 1), component by component
+            assert (1.0 - a).allclose(-(a - 1.0), 0.0)
+            assert (1.0 - a).allclose(DualScalar(ring, 1.0 - a.std, -a.dual), 0.0)
+            if not b.is_appreciable(0.1):
+                continue
+            # (a / b) b = a
+            assert ((a / b) * b).allclose(a, 1e-10 * max(1.0, abs(a.std), abs(a.dual)))
+            assert (a / 2.0).allclose(DualScalar(ring, a.std * 0.5, a.dual * 0.5), 1e-15)
+
+    def test_widen(self):
+        a = DualScalar.real(1.5, -2.0)
+        assert a.widen("real") is a
+        z = DualScalar.complex(1 + 2j, 3 - 4j)
+        assert z.widen("complex") is z
+        assert a.widen("complex") == DualScalar.complex(1.5 + 0j, -2.0 + 0j)
+        wide = a.widen("quaternion")
+        assert wide.ring == "quaternion"
+        assert wide.std.components() == (1.5, 0.0, 0.0, 0.0)
+        assert wide.dual.components() == (-2.0, 0.0, 0.0, 0.0)
+        zq = z.widen("quaternion")
+        assert zq.ring == "quaternion"
+        assert zq.std.components() == (1.0, 2.0, 0.0, 0.0)
+        assert zq.dual.components() == (3.0, -4.0, 0.0, 0.0)
+        for narrow, wide_scalar in (("real", z), ("complex", wide), ("real", wide)):
+            with pytest.raises(RingMismatchError, match="cannot widen"):
+                wide_scalar.widen(narrow)
+        with pytest.raises(RingMismatchError, match="cannot widen"):
+            a.widen("octonion")
+
+    def test_quaternion_inverse(self):
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            q = Quaternion.from_components(rng.normal(size=4))
+            inv = q.inverse()
+            assert (q * inv).allclose(Quaternion(1.0), 1e-14)
+            assert (inv * q).allclose(Quaternion(1.0), 1e-14)
+            # q^-1 = conj(q) / |q|^2, component by component
+            n = sum(c * c for c in q.components())
+            want = (q.w / n, -q.x / n, -q.y / n, -q.z / n)
+            assert np.allclose(inv.components(), want, rtol=1e-14, atol=0.0)
+        with pytest.raises(ZeroDivisionError, match="zero quaternion"):
+            Quaternion().inverse()
+
+    def test_quaternion_reflected_sub_and_mul(self):
+        q = Quaternion(1.0, -2.0, 3.0, 0.5)
+        assert 2.0 - q == Quaternion(1.0, 2.0, -3.0, -0.5) == -(q - 2.0)
+        assert 2.0 * q == Quaternion(2.0, -4.0, 6.0, 1.0) == q * 2.0
+        assert 3 * q == q + q + q

@@ -72,6 +72,15 @@ class TestAngles:
         assert theta.std == pytest.approx(-math.pi / 4)
         assert theta.dual == pytest.approx(1.0)
 
+    def test_angle_equality(self):
+        t = DualAngle(0.5, -1.0)
+        assert t == DualAngle(0.5, -1.0)
+        assert t != DualAngle(0.5, 1.0) and t != DualAngle(-0.5, -1.0)
+        # the standard part is wrapped into (-pi, pi] before it is compared
+        assert DualAngle(-math.pi, 2.0) == DualAngle(math.pi, 2.0)
+        assert DualAngle(3 * math.pi / 2) == DualAngle(-math.pi / 2)
+        assert t != (0.5, -1.0) and t != DualNumber(0.5, -1.0)
+
     def test_angle_exponentiates_back(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
