@@ -104,6 +104,7 @@ def _cmd_radius(args) -> int:
         f"  antibalanced      = {report.antibalanced}",
         f"  equality predicted= {report.equality_predicted}",
         f"  consistent        = {report.consistent}",
+        f"  paper rule holds  = {report.paper_rule_holds}",
     ]
     _emit_report(args, report.to_dict(), "\n".join(lines))
     return 0
@@ -255,7 +256,7 @@ def _trial_radius_bounds(rng, trial):
         if report.rho_graph > report.delta_bound + 1e-12:
             return phi, f"{kind} underlying radius exceeds degree bound"
         if report.consistent is False:
-            return phi, f"{kind} equality and balance disagree"
+            return phi, f"{kind} equality and standard-part balance disagree"
     return None
 
 
@@ -412,6 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named property suite")
     add_common(p, with_file=False, with_matrix=False, with_tol=False)
+    # fixed when the parser is first built: `run` reuses that parser, so a
+    # name added to _SUITES afterwards is refused here (dispatch reads
+    # _SUITES at call time, so a replaced suite does run)
     p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -448,9 +452,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser behind `run`: built on the first call, not at import, and
+    reused, since argparse keeps no per-parse state on it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (DualGainError, ValueError, OSError) as exc:

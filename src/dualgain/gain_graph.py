@@ -213,14 +213,17 @@ class PotentialCertificate:
 
 class _BalancePass(NamedTuple):
     """What one balance pass finds: the BFS parent of every vertex (None at
-    roots), the potentials as split-layout arrays, and two masks over
-    `edge_array` marking the edges that break balance and antibalance."""
+    roots), the potentials as split-layout arrays, and masks over
+    `edge_array` marking the edges that break balance and antibalance, of
+    the dual gains and of their standard parts alone."""
 
     parent: list
     theta_std: np.ndarray
     theta_dual: np.ndarray
     unbalanced: np.ndarray
     unantibalanced: np.ndarray
+    std_unbalanced: np.ndarray
+    std_unantibalanced: np.ndarray
 
 
 def _dual_inverse(ring, s, d):
@@ -414,9 +417,12 @@ class GainGraph:
         vertex's parent and depth.  The potentials follow one level at a
         time, theta[w] = theta[v] gain(v -> w) for all tree edges of a level
         at once, with roots at 1.  Every edge is then tested at once against
-        theta[u]^-1 theta[v], within `tol` in both parts.  The potentials of -phi on the same forest are theta
-        (-1)^depth, so phi is antibalanced exactly when every edge carries
-        -(-1)^(depth u + depth v) theta[u]^-1 theta[v].
+        theta[u]^-1 theta[v], within `tol` in both parts.  The potentials of
+        -phi on the same forest are theta (-1)^depth, so phi is antibalanced
+        exactly when every edge carries -(-1)^(depth u + depth v)
+        theta[u]^-1 theta[v].  The standard parts of the potentials are the
+        potentials of the standard gains alone, so the standard-part test
+        decides balance and antibalance of those.
         """
         ring, n = self.ring, self.n
         parent, depth, _ = self.graph._bfs_forest()
@@ -441,11 +447,14 @@ class GainGraph:
         tol = self.tol
 
         def violated(ts, td):
-            return ~((rings.entry_abs(ring, self.std - ts) <= tol)
-                     & (rings.entry_abs(ring, self.dual - td) <= tol))
+            """(standard part off, either part off) per edge."""
+            std_off = ~(rings.entry_abs(ring, self.std - ts) <= tol)
+            return std_off, std_off | ~(rings.entry_abs(ring, self.dual - td) <= tol)
 
-        return _BalancePass(parent, theta_s, theta_d, violated(rs, rd),
-                            violated(sign * rs, sign * rd))
+        std_unbalanced, unbalanced = violated(rs, rd)
+        std_unantibalanced, unantibalanced = violated(sign * rs, sign * rd)
+        return _BalancePass(parent, theta_s, theta_d, unbalanced, unantibalanced,
+                            std_unbalanced, std_unantibalanced)
 
     def _fundamental_cycle(self, parent, u, v):
         def chain(x):

@@ -117,6 +117,7 @@ def path_spectrum_closed_form(n: int, kind: str = KIND_ADJACENCY) -> Spectrum:
     _check_kind(kind)
     if n < 1:
         raise BadParameterError("a path needs at least one vertex")
+    rings.check_vertex_count(n)
     if kind == KIND_ADJACENCY:
         vals = [DualNumber(2.0 * math.cos(math.pi * j / (n + 1)), 0.0)
                 for j in range(1, n + 1)]
@@ -140,6 +141,7 @@ def cycle_spectrum_closed_form(n: int, gain: DualScalar, kind: str = KIND_ADJACE
     _check_kind(kind)
     if n < 3:
         raise BadParameterError("a cycle needs at least three vertices")
+    rings.check_vertex_count(n)
     if not isinstance(gain, DualScalar):
         raise RingMismatchError("gain must be a dual scalar")
     q = gain
@@ -256,17 +258,19 @@ class RadiusReport:
     For the adjacency kind the comparison radius is rho_A(G) and the degree
     bound is Delta; for the Laplacian kind they are rho_Q(G) (signless
     Laplacian) and 2 Delta.  For connected graphs the equality flag is
-    cross-checked against balance: adjacency equality holds exactly for
-    balanced or antibalanced graphs, Laplacian equality exactly for graphs
-    switching-equivalent to the all-(-1) gain.
+    cross-checked against the standard gains alone: adjacency equality
+    holds exactly when they are balanced or antibalanced, Laplacian
+    equality exactly when they are antibalanced (`equality_predicted`,
+    `consistent`).  Switched so its standard gains are all 1 (or all -1), a
+    graph has purely imaginary dual gains (the unit condition), so
+    x^T A_d x = 0 for the real Perron vector x of A(G) (or Q(G)), and
+    rho = rho(G) + 0 eps.
 
-    A graph whose standard part is balanced and whose dual part is not
-    meets the adjacency bound anyway.  Switched so its standard gains are 1,
-    its dual gains are purely imaginary (the unit condition), so
-    x^H A_d x = 0 for the real Perron vector x of A(G): rho = rho(G) + 0 eps.
-    The 8-cycle with gain 1 + 0.3i eps reports equality=True,
-    balanced=False and hence consistent=False, and its closed form agrees.
-    `consistent` keeps comparing against balance as stated above.
+    `balanced` and `antibalanced` are the verdicts on the dual gains.  The
+    paper reads equality from those; `paper_rule_holds` is False where
+    that rule fails.  The 8-cycle with gain 1 + 0.3i eps meets the bound
+    although it is unbalanced.  Both checks are None for disconnected
+    graphs.
     """
 
     kind: str
@@ -281,6 +285,7 @@ class RadiusReport:
     antibalanced: bool
     equality_predicted: bool | None
     consistent: bool | None
+    paper_rule_holds: bool | None
 
     def to_dict(self) -> dict:
         return {
@@ -296,6 +301,7 @@ class RadiusReport:
             "antibalanced": self.antibalanced,
             "equality_predicted": self.equality_predicted,
             "consistent": self.consistent,
+            "paper_rule_holds": self.paper_rule_holds,
         }
 
 
@@ -333,12 +339,16 @@ def radius_report(phi: GainGraph, kind: str = KIND_ADJACENCY) -> RadiusReport:
     verdicts = phi._balance_pass()
     balanced = not verdicts.unbalanced.any()
     antibalanced = not verdicts.unantibalanced.any()
+    predicted = consistent = paper_rule_holds = None
     if connected:
-        predicted = (balanced or antibalanced) if kind == KIND_ADJACENCY else antibalanced
+        std_balanced = not verdicts.std_unbalanced.any()
+        std_antibalanced = not verdicts.std_unantibalanced.any()
+        if kind == KIND_ADJACENCY:
+            predicted, paper_predicted = std_balanced or std_antibalanced, balanced or antibalanced
+        else:
+            predicted, paper_predicted = std_antibalanced, antibalanced
         consistent = predicted == equality
-    else:
-        predicted = None
-        consistent = None
+        paper_rule_holds = paper_predicted == equality
     return RadiusReport(kind, rho_gain, rho_graph, delta_bound, bound_holds,
                         delta_bound_holds, equality, connected, balanced,
-                        antibalanced, predicted, consistent)
+                        antibalanced, predicted, consistent, paper_rule_holds)

@@ -16,12 +16,14 @@ from dualgain import (
     GainGraph,
     KIND_ADJACENCY,
     KIND_LAPLACIAN,
+    Quaternion,
     RINGS,
     UnderlyingGraph,
     adjacency_matrix,
     char_poly_from_eigenvalues,
     check_interlacing,
     coefficients,
+    complete_graph,
     cycle_graph,
     cycle_spectrum_closed_form,
     dual_geq,
@@ -41,6 +43,7 @@ from dualgain.sampling import (
     random_dual_quaternion,
     random_gain_graph,
     random_scalar,
+    random_switching,
     random_unbalanced_connected,
 )
 
@@ -202,6 +205,53 @@ def test_criterion_6_radius_bounds():
         assert lap.equality and lap.consistent, n
         flagged += 2
     print(f"criterion 6 PASS: 200 bound instances, {flagged} equality cases flagged")
+
+
+def dual_twisted(rng, graph, ring, sign):
+    """Standard gains all `sign`, dual gains random and purely imaginary (so
+    every gain is a unit), then a random switching: the standard part is
+    balanced (sign 1) or antibalanced (sign -1), the dual part generically
+    neither."""
+    def gain():
+        if ring == "real":
+            return DualScalar.real(sign, 0.0)
+        if ring == "complex":
+            return DualScalar.complex(sign, 1j * rng.normal())
+        return DualScalar.quaternion(Quaternion(sign), Quaternion(0.0, *rng.normal(size=3)))
+
+    phi = GainGraph(graph, ring, {e: gain() for e in graph.edges})
+    return phi.switch(random_switching(rng, ring, graph.n))
+
+
+def test_criterion_6_standard_part_rule():
+    """Radius equality follows the standard part on dual-twisted graphs:
+    adjacency equality iff it is balanced or antibalanced, Laplacian
+    equality iff it is antibalanced, with rho = rho(G) + 0 eps."""
+    rng = np.random.default_rng(616)
+    reports = paper_fails = 0
+    for ring in RINGS:
+        for n in range(4, 14):
+            graphs = {"complete": complete_graph(n, ring).graph,
+                      "cycle": cycle_graph(n, DualScalar.one(ring)).graph,
+                      "random": random_connected_graph(rng, n, int(rng.integers(1, n)))}
+            for name, graph in graphs.items():
+                # connected G is bipartite iff its adjacency spectrum is symmetric
+                w = np.linalg.eigvalsh(graph.adjacency())
+                bipartite = bool(abs(w[0] + w[-1]) <= 1e-9)
+                for sign in (1.0, -1.0):
+                    phi = dual_twisted(rng, graph, ring, sign)
+                    for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+                        report = radius_report(phi, kind)
+                        expected = (kind == KIND_ADJACENCY or sign < 0 or bipartite)
+                        assert report.consistent is True, (ring, n, name, sign, kind)
+                        assert report.equality is expected, (ring, n, name, sign, kind)
+                        if expected:
+                            assert abs(report.rho_gain.dual) <= 1e-9
+                        reports += 1
+                        paper_fails += report.paper_rule_holds is False
+    assert paper_fails > 0
+    print(f"criterion 6 PASS: {reports} dual-twisted reports consistent, "
+          f"the paper's balance rule fails on {paper_fails}")
 
 
 def test_criterion_7_determinant_and_coefficients():

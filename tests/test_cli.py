@@ -274,6 +274,19 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["cycle", "--ring", "real", "--gain", "(1)+(0)*eps"],
+                                      ["path"], ["path", "--matrix", "laplacian"]],
+                             ids=lambda argv: "-".join(argv[:1] + argv[2:3]))
+    def test_closed_form_vertex_count_refused(self, argv, capsys):
+        # the closed forms build one eigenvalue per vertex: refused up front
+        start = time.perf_counter()
+        code = run([*argv, "--n", str(10**30)])
+        assert code == 2 and time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "physical memory" in captured.err
+
     @pytest.mark.parametrize("flags", [["--keep", "0,999"], ["--keep=-1,2"], ["--drop", "99"],
                                        ["--drop=-1"]])
     def test_interlace_vertices_outside_the_graph(self, triangle_file, flags, capsys):
@@ -334,3 +347,93 @@ class TestErrorHandling:
         assert run(["spectrum", triangle_file, "--format", "json",
                     "--out", str(out_file)]) == 0
         json.loads(out_file.read_text())
+
+
+def every_subcommand(graph_file):
+    """One small valid argv per subcommand."""
+    return [
+        ["spectrum", graph_file],
+        ["balance", graph_file, "--format", "json"],
+        ["radius", graph_file, "--matrix", "laplacian"],
+        ["interlace", graph_file, "--drop", "1"],
+        ["charpoly", graph_file, "--format", "json"],
+        ["mdet", graph_file],
+        ["cycle", "--n", "5", "--ring", "quaternion",
+         "--gain", "(0.0+1.0i+0.0j+0.0k) + (0.0+0.0i+0.5j+0.0k)*eps"],
+        ["path", "--n", "4", "--format", "json"],
+        ["check", "closed-forms", "--trials", "2", "--seed", "5"],
+        ["generate", "random", "--n", "6", "--ring", "quaternion", "--seed", "3"],
+        ["convert", graph_file, "--ring", "quaternion"],
+    ]
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """One entry per build_parser call from here on, starting from an empty
+    parser cache."""
+    builds = []
+    original = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda: builds.append(1) or original())
+    cli_module._parser.cache_clear()
+    yield builds
+    cli_module._parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_one_build_for_many_calls(self, triangle_file, parser_builds, capsys):
+        argvs = every_subcommand(triangle_file)
+        assert [argv[0] for argv in argvs] == list(cli_module._HANDLERS)
+        for i in range(50):
+            assert run(argvs[i % len(argvs)]) == 0
+        capsys.readouterr()
+        assert len(parser_builds) == 1
+
+    def test_nothing_leaks_between_calls(self, triangle_file, parser_builds, capsys):
+        assert run(["interlace", triangle_file, "--keep", "0,2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["subset"] == [0, 2]
+        assert run(["interlace", triangle_file, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["subset"] == [0, 1]     # default chain
+        args = cli_module._parser().parse_args(["interlace", triangle_file])
+        assert args.keep is None and args.drop is None and args.matrix == "adjacency"
+        assert run(["spectrum", triangle_file, "--format", "json", "--matrix", "laplacian"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert run(["spectrum", triangle_file]) == 0
+        assert capsys.readouterr().out.startswith("adjacency spectrum (3 eigenvalues")
+        assert len(parser_builds) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["radius", "--help"]])
+    def test_help_twice(self, argv, parser_builds, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: dualgain")
+        assert len(parser_builds) == 1
+
+    @pytest.mark.parametrize("argv", [["spectrum"], ["path", "--n", "four"], ["frobnicate"]])
+    def test_usage_error_twice(self, argv, parser_builds, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("error:") == 1
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert len(parser_builds) == 1
+
+    def test_cached_output_equals_a_fresh_parser(self, triangle_file, monkeypatch, capsys):
+        argvs = every_subcommand(triangle_file)
+        outputs = []
+        # the cached parser first, then a fresh build_parser() per call
+        for parser in (cli_module._parser, cli_module.build_parser):
+            monkeypatch.setattr(cli_module, "_parser", parser)
+            texts = []
+            for argv in argvs:
+                assert run(argv) == 0
+                texts.append(capsys.readouterr().out.encode())
+            outputs.append(texts)
+        assert outputs[0] == outputs[1]

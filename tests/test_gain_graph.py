@@ -25,7 +25,9 @@ from dualgain import (
     parse,
     serialize,
 )
+from dualgain import _rings as rings
 from dualgain.char_poly import _real_gains
+from dualgain.scalars import RING_WIDTH
 from dualgain.sampling import (
     random_balanced_gain_graph,
     random_connected_graph,
@@ -757,6 +759,28 @@ class TestBalancePass:
             assert np.array_equal(minus.theta_dual, sign * plus.theta_dual)
             assert np.array_equal(minus.unbalanced, plus.unantibalanced)
             assert np.array_equal(minus.unantibalanced, plus.unbalanced)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_standard_part_verdicts(self, ring):
+        # the standard masks are the verdicts of the standard gains alone: a
+        # purely imaginary dual twist s p (a unit for every s) moves the dual
+        # verdicts but not them
+        rng = np.random.default_rng(29)
+        width = RING_WIDTH[ring]
+        broken = 0
+        for _ in range(4):
+            for name, phi in verdict_families(rng, ring):
+                comps = np.zeros((phi.graph.m, width))
+                comps[:, 1:] = rng.normal(size=(phi.graph.m, width - 1))
+                twist = rings.mul(ring, phi.std, rings.from_components(ring, comps))
+                bare = GainGraph(phi.graph, ring, (phi.std, np.zeros_like(phi.std)))
+                plain = bare._balance_pass()
+                for psi in (phi, GainGraph(phi.graph, ring, (phi.std, twist))):
+                    verdicts = psi._balance_pass()
+                    assert np.array_equal(verdicts.std_unbalanced, plain.unbalanced), name
+                    assert np.array_equal(verdicts.std_unantibalanced, plain.unantibalanced), name
+                    broken += bool(verdicts.unbalanced.any()) and not plain.unbalanced.any()
+        assert (broken > 0) is (ring != "real")
 
     @pytest.mark.parametrize("ring", RINGS)
     def test_verdicts_build_no_scalars_and_no_graphs(self, ring, scalar_count, monkeypatch):

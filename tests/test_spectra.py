@@ -273,12 +273,14 @@ class TestRadiusReports:
     def test_dual_twisted_cycle_meets_the_bound(self):
         # standard part balanced, dual part not: the graph is unbalanced, yet
         # rho = 2 + 0 eps = rho(G), because x^H A_d x = 0 for the real Perron
-        # vector when the dual gains are purely imaginary
+        # vector when the dual gains are purely imaginary; the standard-part
+        # rule predicts that, the paper's "iff balanced" does not
         gain = DualScalar.complex(1, 0.3j)
         phi = cycle_graph(8, gain)
         report = radius_report(phi)
         assert report.equality and not report.balanced and not report.antibalanced
-        assert report.consistent is False
+        assert report.equality_predicted is True and report.consistent is True
+        assert report.paper_rule_holds is False
         closed = spectral_radius(cycle_spectrum_closed_form(8, gain))
         dense = spectral_radius(spectrum(phi))
         for rho in (closed, dense, report.rho_gain):
