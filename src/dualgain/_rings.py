@@ -35,11 +35,11 @@ def zeros(ring, shape):
 # about 9 x 5.1 MB)
 _DENSE_ARRAYS = 10
 
-# bytes per vertex of the O(n) state of a graph pass: the CSR row pointers,
-# degree and component-label arrays are a few int64 each, and a balance pass
-# keeps one potential per vertex, about 400 bytes of Python objects for a
-# dual quaternion
-_VERTEX_BYTES = 512
+# bytes per vertex of the O(n) state of a graph pass or a closed form: the
+# closed forms keep one DualNumber per vertex and their JSON output some
+# strings per value, a peak resident size of 1,065-1,200 bytes per vertex
+# over the import baseline (n = 5e4 to 2e5); a graph pass needs less
+_VERTEX_BYTES = 1536
 
 
 def _physical_memory():
@@ -269,11 +269,15 @@ def inv(ring, arr):
 # standard-part Hermitian eigensolver
 
 
+_CLUSTER_GAP = 1e-8     # relative gap within which standard eigenvalues share a supplement
+
+
 def eigh(ring, arr):
     """Eigenvalues (ascending, real) and orthonormal eigenvectors of a
     Hermitian base-ring matrix.  Quaternion matrices are solved through the
     complex-adjoint embedding, whose spectrum repeats every eigenvalue
-    twice; de-duplication recovers one quaternion eigenvector per copy."""
+    twice: each eigenvalue is the mean of its two copies, and each cluster
+    of _clusters gets one quaternion basis of its embedded eigenvectors."""
     if ring != RING_QUATERNION:
         w, v = np.linalg.eigh(arr)
         return w, v
@@ -285,29 +289,23 @@ def _eigh_quaternion(arr):
     if n == 0:
         return np.zeros(0), zeros(RING_QUATERNION, (0, 0))
     w, u = np.linalg.eigh(symmetrize(RING_COMPLEX, embed_quaternion(arr)))
+    # the embedding repeats every eigenvalue exactly, so in ascending order
+    # its two copies are adjacent
+    values = (w[0::2] + w[1::2]) / 2
+    emb = u[:, 0::2].copy()
+    for c0, c1 in _clusters(values):
+        if c1 - c0 > 1:
+            emb[:, c0:c1] = _quaternion_basis(u[:, 2 * c0:2 * c1], c1 - c0)
+    return values, np.stack((emb[:n], -emb[n:].conj()), axis=-1)
 
-    # One group per distinct quaternion eigenvalue: the embedding repeats
-    # each one exactly, so its copies differ only by rounding, O(eps |A|).
-    # The gap is absolute in |A| and kept just above that noise because the
-    # copies of a group are averaged; the relative 1e-8 gap of
-    # linalg._clusters would move distinct eigenvalues by up to 1e-8, while
-    # those clusters only choose which directions share a supplement and
-    # move no standard eigenvalue.  Groups start at even indices.
-    gap_tol = 1e-10 * max(1.0, float(np.abs(w).max()))
-    even = np.arange(2, 2 * n, 2)
-    bounds = np.concatenate(([0], even[w[even] - w[even - 1] > gap_tol], [2 * n]))
-    starts, sizes = bounds[:-1], np.diff(bounds) // 2
-    values = np.repeat(np.add.reduceat(w, starts) / (2 * sizes), sizes)
 
-    # a group of one quaternion eigenvalue takes its first embedded column
-    emb = u[:, np.repeat(starts, sizes)]
-    offsets = np.cumsum(sizes) - sizes
-    for g0, k, out in zip(starts, sizes, offsets):
-        if k > 1:
-            emb[:, out:out + k] = _quaternion_basis(u[:, g0:g0 + 2 * k], k)
-    vectors = np.stack((emb[:n], -emb[n:].conj()), axis=-1)
-    vectors /= np.sqrt((np.abs(emb) ** 2).sum(axis=0))[:, None]
-    return values, vectors
+def _clusters(w):
+    """(start, stop) index ranges of ascending eigenvalues whose neighbour
+    gaps stay within _CLUSTER_GAP relative to the larger magnitude (at least
+    1)."""
+    caps = _CLUSTER_GAP * np.maximum(1.0, np.maximum(np.abs(w[1:]), np.abs(w[:-1])))
+    bounds = [0, *(np.flatnonzero(np.diff(w) > caps) + 1).tolist(), len(w)]
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _quaternion_partner(p, n):

@@ -260,9 +260,12 @@ def hermitian_eigendecomposition(a: DualMatrix) -> list[EigenPair]:
     the dual-number order.
 
     Standard parts are the eigenvalues of A_s.  Standard eigenvalues whose
-    relative gap is at most _CLUSTER_GAP are treated as one cluster: their dual
-    parts are the eigenvalues of the supplement matrix W* A_d W, and the
-    eigenvector block W is rotated into the basis that diagonalizes it.
+    relative gap is at most rings._CLUSTER_GAP are treated as one cluster:
+    their dual parts are the eigenvalues of the supplement matrix W* A_d W,
+    and the eigenvector block W is rotated into the basis that diagonalizes
+    it.  For quaternions W is one quaternion-orthonormal basis per cluster,
+    built by rings.eigh under the same rule, so distinct members of a
+    cluster share a supplement as they do in the other rings.
     Eigenvector dual parts are the first-order sums over the out-of-cluster
     directions.  Output is deterministic: each eigenvector is gauged so its
     first appreciable standard entry is positive real.
@@ -273,7 +276,6 @@ def hermitian_eigendecomposition(a: DualMatrix) -> list[EigenPair]:
 
 _GAUGE_THRESHOLD = 1e-8     # standard entries this small are passed over by the gauge
 _HERMITIAN_TOL = 1e-9       # largest hermitian defect the solvers and Mdet accept
-_CLUSTER_GAP = 1e-8         # relative gap within which standard eigenvalues share a supplement
 _INVERSE_STEPS = 8          # solves an end-cluster basis may take in _radius
 _END_RATIO = 1e-3           # largest contraction per solve that the end block accepts
 _MOORE_SIZE_CAP = 9         # the permutation sum takes n! terms
@@ -306,7 +308,7 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
     if with_vectors:
         delta = w[None, :] - w[:, None]     # delta[j, i] = w_i - w_j
         np.fill_diagonal(delta, np.inf)
-    for c0, c1 in _clusters(w):
+    for c0, c1 in rings._clusters(w):
         if c1 - c0 == 1:
             continue
         cl = slice(c0, c1)
@@ -344,7 +346,8 @@ def _radius(a: DualMatrix) -> DualNumber:
 
     The standard parts are w = eigvalsh(A_s) (over the 2n complex embedding
     for quaternions, which repeats every eigenvalue), split into clusters by
-    the rule of _eigensystem.  Only an end cluster whose |w| ties max |w|
+    rings._clusters, the one rule that rings.eigh and _eigensystem also
+    follow.  Only an end cluster whose |w| ties max |w|
     under that rule can hold the radius.  The dual parts of such a cluster
     are the eigenvalues of its supplement W* A_d W, with W from
     _end_basis; at the top end the radius candidate is (max w, max dual),
@@ -357,9 +360,9 @@ def _radius(a: DualMatrix) -> DualNumber:
     if a.ring == RING_QUATERNION:
         s, d = rings.embed_quaternion(s), rings.embed_quaternion(d)
     w = np.linalg.eigvalsh(s)
-    clusters = list(_clusters(w))
+    clusters = list(rings._clusters(w))
     reach = max(-w[0], w[-1])       # max |w|
-    cap = _CLUSTER_GAP * max(1.0, reach)
+    cap = rings._CLUSTER_GAP * max(1.0, reach)
     candidates = []
     # the top and the bottom cluster, once when they are the same
     for c0, c1 in dict.fromkeys((clusters[-1], clusters[0])):
@@ -437,15 +440,6 @@ def _start_block(n, width, dtype):
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     x = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -52 - 1.0
     return x.view(dtype).reshape(n, width)
-
-
-def _clusters(w):
-    """(start, stop) index ranges of ascending eigenvalues whose neighbour
-    gaps stay within _CLUSTER_GAP relative to the larger magnitude (at least
-    1)."""
-    caps = _CLUSTER_GAP * np.maximum(1.0, np.maximum(np.abs(w[1:]), np.abs(w[:-1])))
-    bounds = [0, *(np.flatnonzero(np.diff(w) > caps) + 1).tolist(), len(w)]
-    return zip(bounds[:-1], bounds[1:])
 
 
 def _gauge(ring, v, x_d):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import dualgain._rings as rings
 import dualgain.cli as cli_module
 from dualgain import SizeCapExceededError, check_interlacing, spectrum
 from dualgain.cli import run
@@ -122,6 +127,35 @@ class TestClosedFormCommands:
         assert run(["path", "--n", "3", "--matrix", "laplacian"]) == 0
         out = capsys.readouterr().out
         assert "3 + 0·eps" in out and "1 + 0·eps" in out and "0 + 0·eps" in out
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident size from /proc/self/status")
+    @pytest.mark.parametrize("argv", [["path", "--format", "json"],
+                                      ["cycle", "--gain", "(0+1i)+(0.5+0i)*eps", "--format", "json"]],
+                             ids=lambda argv: argv[0])
+    def test_peak_per_vertex_within_the_size_guard(self, argv):
+        # the size guard of the closed forms admits n vertices while
+        # rings._VERTEX_BYTES * n fits in physical memory, so a query's peak
+        # over the import baseline must stay below that figure per vertex.
+        # VmHWM is the process's own peak; ru_maxrss would also count the
+        # parent's resident size, inherited through fork and exec.
+        n = 50_000
+        code = ("import sys\n"
+                "from dualgain.cli import run\n"
+                "def peak():\n"
+                "    with open('/proc/self/status') as status:\n"
+                "        line = next(line for line in status if line.startswith('VmHWM:'))\n"
+                "    return int(line.split()[1]) * 1024\n"
+                "base = peak()\n"
+                "code = run(sys.argv[1:])\n"
+                "print(code, peak() - base, file=sys.stderr)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = subprocess.run([sys.executable, "-c", code, *argv, "--n", str(n)], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                             timeout=120, check=True)
+        status, grown = out.stderr.split()
+        assert status == "0"
+        assert int(grown) / n <= rings._VERTEX_BYTES
 
 
 class TestGenerateConvert:

@@ -23,9 +23,10 @@ from dualgain import (
     hermitian_eigendecomposition,
     moore_determinant,
 )
+from dualgain._rings import _CLUSTER_GAP
 from dualgain.gain_graph import GainGraph, UnderlyingGraph
 from dualgain.graph_io import complete_graph, cycle_graph
-from dualgain.linalg import _CLUSTER_GAP, _eigensystem, _moore_terms, _radius, principal_submatrix
+from dualgain.linalg import _eigensystem, _moore_terms, _radius, principal_submatrix
 from dualgain.sampling import (
     random_balanced_gain_graph,
     random_connected_graph,
@@ -554,16 +555,25 @@ def oracle_eigendecomposition(a, cluster_tol=1e-8):
     return pairs
 
 
-def engineered_matrix(rng, ring, diag_values):
-    """A_s = Q diag(values) Q* for a random unitary Q, random Hermitian A_d."""
+def random_unitary(rng, ring, n):
+    return rings.eigh(ring, random_hermitian_matrix(rng, ring, n).s)[1]
+
+
+def conjugated(ring, q, diag_values):
+    """Q diag(values) Q*, symmetrized."""
     n = len(diag_values)
-    _, q = rings.eigh(ring, random_hermitian_matrix(rng, ring, n).s)
     diag = rings.zeros(ring, (n, n))
     for i, val in enumerate(diag_values):
         diag[(i, i, 0) if ring == "quaternion" else (i, i)] = val
-    s = rings.symmetrize(ring, rings.matmul(
+    return rings.symmetrize(ring, rings.matmul(
         ring, q, rings.matmul(ring, diag, rings.conj_transpose(ring, q))))
-    return DualMatrix(ring, s, random_hermitian_matrix(rng, ring, n).s)
+
+
+def engineered_matrix(rng, ring, diag_values):
+    """A_s = Q diag(values) Q* for a random unitary Q, random Hermitian A_d."""
+    q = random_unitary(rng, ring, len(diag_values))
+    return DualMatrix(ring, conjugated(ring, q, diag_values),
+                      random_hermitian_matrix(rng, ring, len(diag_values)).s)
 
 
 class TestArrayCoreAgainstOracle:
@@ -630,6 +640,58 @@ class TestArrayCoreAgainstOracle:
             resid = (a @ x) - x.scale_right(pair.value.to_scalar("quaternion"))
             assert rings.max_abs("quaternion", resid.s) <= 1e-11
             assert rings.max_abs("quaternion", resid.d) <= 1e-11
+
+
+class TestQuaternionClusters:
+    """The quaternion solver groups its doubled spectrum by the one cluster
+    rule, so distinct eigenvalues inside a cluster keep their values and a
+    quaternion-orthonormal basis."""
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_radius_of_a_cluster_with_distinct_members(self, ring):
+        # 4 and 4 - 3.6e-8 share a supplement; its top eigenvalue, formed
+        # from the known columns of Q, is the dual part of the radius
+        rng = np.random.default_rng(414)
+        values = [4.0, 4.0 - 3.6e-8, 4.0 - 0.04, 1.5, 0.25, -1.0, -2.5, 2.0]
+        for _ in range(4):
+            q = random_unitary(rng, ring, 8)
+            d = random_hermitian_matrix(rng, ring, 8).s
+            top = q[:, :2]
+            supp = rings.matmul(ring, rings.conj_transpose(ring, top), rings.matmul(ring, d, top))
+            if ring == "quaternion":
+                supp = rings.embed_quaternion(supp)
+            want = np.linalg.eigvalsh(rings.symmetrize("complex", supp))[-1]
+            got = spectral_radius(_eigensystem(DualMatrix(ring, conjugated(ring, q, values), d),
+                                               with_vectors=False)[0])
+            assert abs(got.std - 4.0) <= 1e-12
+            assert abs(got.dual - want) <= 1e-12
+
+    @pytest.mark.parametrize("tie", [1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
+    def test_values_of_near_ties(self, tie):
+        rng = np.random.default_rng(415)
+        for _ in range(20):
+            n = int(rng.integers(3, 14))
+            values = rng.uniform(-4.0, 4.0, n)
+            k = int(rng.integers(1, n))
+            values[k] = values[k - 1] + tie * max(1.0, abs(values[k - 1]))
+            q = random_unitary(rng, "quaternion", n)
+            w, _ = rings.eigh("quaternion", conjugated("quaternion", q, values))
+            assert np.abs(w - np.sort(values)).max() <= 1e-14 * np.abs(values).max()
+
+    @pytest.mark.parametrize("std_values, dual_values", [
+        ([3.0, 3.0 + 3e-9, 1.0, -0.5, -2.0, 0.7], None),
+        ([3.0, 3.0, 3.0, -0.5, -2.0, 0.7], [0.5, 0.5 + 2e-10, -0.8, 0.3, 0.1, -0.4]),
+    ], ids=["standard tie", "supplement tie"])
+    def test_eigenvectors_stay_quaternion_orthonormal(self, std_values, dual_values):
+        rng = np.random.default_rng(416)
+        for _ in range(4):
+            q = random_unitary(rng, "quaternion", 6)
+            d = (random_hermitian_matrix(rng, "quaternion", 6).s if dual_values is None
+                 else conjugated("quaternion", q, dual_values))
+            a = DualMatrix("quaternion", conjugated("quaternion", q, std_values), d)
+            v = np.stack([pair.vector.s for pair in hermitian_eigendecomposition(a)], axis=1)
+            gram = rings.matmul("quaternion", rings.conj_transpose("quaternion", v), v)
+            assert rings.max_abs("quaternion", gram - rings.eye("quaternion", 6)) <= 1e-12
 
 
 def canonical_cycles(perm):
@@ -773,16 +835,14 @@ class TestRadiusRoute:
     def test_cluster_spread_near_the_gap(self, ring, beyond):
         # two top eigenvalues 0.9 gap apart share a supplement; the next one
         # lies `beyond` gaps further.  The rounding of A_s alone moves the
-        # cluster's subspace by about eps |A_s| / distance, and the dense
-        # quaternion route keeps the two members quaternion-orthogonal only
-        # to about eps |A_s| / (0.9 gap), so the tolerance scales with both.
+        # cluster's subspace by about eps |A_s| / distance.
         rng = np.random.default_rng(412)
         gap = _CLUSTER_GAP * 4.0
         third = 4.0 - 0.9 * gap - beyond * gap
         for _ in range(3):
             values = [4.0, 4.0 - 0.9 * gap, third, 1.5, 0.25, -1.0, -2.5, 3.0 - 1.0]
             a = engineered_matrix(rng, ring, values)
-            assert_radius_matches(a, 1e3 * np.finfo(float).eps * 4.0 / (4.0 - third))
+            assert_radius_matches(a, 10 * np.finfo(float).eps * 4.0 / (4.0 - third))
 
     @pytest.mark.parametrize("ring", RINGS)
     def test_random_hermitian_and_tied_ends(self, ring):
