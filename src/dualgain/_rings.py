@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadRingError, SingularStandardPartError, SizeCapExceededError
 from .quaternion import Quaternion
-from .scalars import RING_COMPLEX, RING_QUATERNION, RING_REAL, RINGS
+from .scalars import RING_COMPLEX, RING_QUATERNION, RING_REAL, RING_WIDTH, RINGS
 
 
 def check_ring(ring):
@@ -35,10 +35,11 @@ def zeros(ring, shape):
 # about 9 x 5.1 MB)
 _DENSE_ARRAYS = 10
 
-# bytes per vertex of the O(n) state of a graph pass or a closed form: the
-# closed forms keep one DualNumber per vertex and their JSON output some
-# strings per value, a peak resident size of 1,065-1,200 bytes per vertex
-# over the import baseline (n = 5e4 to 2e5); a graph pass needs less
+# bytes per vertex of the O(n) state of a graph pass, a graph file written
+# out or a closed form, as peak resident size over the import baseline at
+# n = 2e5: a quaternion path written out (one edge record per vertex)
+# 835, converted to quaternion 923, `balance` of an edgeless quaternion
+# file 732-789, a closed form in JSON 291-356
 _VERTEX_BYTES = 1536
 
 
@@ -106,9 +107,7 @@ def to_values(ring, arr):
 def to_components(ring, arr):
     """The (m, width) float components of m split-layout values, in file
     order (real; real, imaginary; w, x, y, z)."""
-    if ring == RING_REAL:
-        return arr.reshape(-1, 1)
-    return np.ascontiguousarray(arr).view(np.float64).reshape(len(arr), -1)
+    return np.ascontiguousarray(arr).view(np.float64).reshape(len(arr), RING_WIDTH[ring])
 
 
 def from_components(ring, comps):
@@ -224,9 +223,7 @@ def scale_columns(ring, arr, units):
 
 
 def entry_abs(ring, arr):
-    if ring == RING_REAL:
-        return np.abs(arr)
-    if ring == RING_COMPLEX:
+    if ring != RING_QUATERNION:
         return np.abs(arr)
     return np.sqrt(np.abs(arr[..., 0]) ** 2 + np.abs(arr[..., 1]) ** 2)
 

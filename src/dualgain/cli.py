@@ -9,9 +9,10 @@ one "error:" line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -37,24 +38,20 @@ def _fmt_dual(v: DualNumber) -> str:
     return f"{v.std:.12g} {sign} {abs(v.dual):.12g}·eps"
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_report(args, payload: dict, table: str) -> None:
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, table)
+def _emit(args, answer) -> None:
+    """Write one answer to --out or stdout: a dict as an indented JSON
+    document, any other iterable as table lines."""
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if isinstance(answer, dict):
+            graph_io._write_json(answer, fh.write)
+        else:
+            fh.writelines(line + "\n" for line in answer)
 
 
 def _emit_spectrum(args, title: str, spec) -> None:
-    lines = [title] + [f"  {_fmt_dual(v)}" for v in spec.values]
-    _emit_report(args, spec.to_dict(), "\n".join(lines))
+    _emit(args, spec.to_dict() if args.format == "json"
+          else chain([title], (f"  {_fmt_dual(v)}" for v in spec.values)))
 
 
 def _load(args) -> GainGraph:
@@ -76,22 +73,20 @@ def _cmd_balance(args) -> int:
     phi = _load(args)
     cert = phi.balance_certificate()
     if cert.balanced:
-        payload = {"balanced": True,
-                   "theta": [render_dual_scalar(t) for t in cert.theta]}
-        lines = ["balanced"]
-        lines += [f"  theta[{i}] = {render_dual_scalar(t)}" for i, t in enumerate(cert.theta)]
+        theta = [render_dual_scalar(t) for t in cert.theta]
+        _emit(args, {"balanced": True, "theta": theta} if args.format == "json"
+              else ["balanced", *(f"  theta[{i}] = {t}" for i, t in enumerate(theta))])
     else:
-        payload = {"balanced": False, "witness_cycle": list(cert.witness_cycle)}
-        lines = ["unbalanced",
-                 f"  witness cycle: {' -> '.join(str(v) for v in cert.witness_cycle)}"]
-    _emit_report(args, payload, "\n".join(lines))
+        cycle = list(cert.witness_cycle)
+        _emit(args, {"balanced": False, "witness_cycle": cycle} if args.format == "json"
+              else ["unbalanced", f"  witness cycle: {' -> '.join(str(v) for v in cycle)}"])
     return 0
 
 
 def _cmd_radius(args) -> int:
     phi = _load(args)
     report = spectra.radius_report(phi, args.matrix)
-    lines = [
+    _emit(args, report.to_dict() if args.format == "json" else [
         f"{args.matrix} radius report:",
         f"  rho(gain graph)   = {_fmt_dual(report.rho_gain)}",
         f"  rho(underlying)   = {report.rho_graph:.12g}",
@@ -105,29 +100,32 @@ def _cmd_radius(args) -> int:
         f"  equality predicted= {report.equality_predicted}",
         f"  consistent        = {report.consistent}",
         f"  paper rule holds  = {report.paper_rule_holds}",
-    ]
-    _emit_report(args, report.to_dict(), "\n".join(lines))
+    ])
     return 0
+
+
+def _vertex_list(text: str) -> list:
+    """The vertices of a comma-separated --keep or --drop list."""
+    return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
 def _cmd_interlace(args) -> int:
     phi = _load(args)
     if args.keep:
-        subset = [int(x) for x in args.keep.split(",") if x.strip() != ""]
+        subset = _vertex_list(args.keep)
     elif args.drop:
-        dropped = set(_vertex_subset(phi.n, (int(x) for x in args.drop.split(",")
-                                             if x.strip() != "")))
+        dropped = set(_vertex_subset(phi.n, _vertex_list(args.drop)))
         subset = [v for v in range(phi.n) if v not in dropped]
     else:
         subset = list(range(phi.n - 1))
     report = spectra.check_interlacing(phi, subset, args.matrix)
-    lines = [f"{args.matrix} interlacing on subset {list(report.subset)}: "
-             f"{'holds' if report.holds else 'VIOLATED'}"]
-    for i, mu in enumerate(report.values_sub):
-        lines.append(
-            f"  lambda_{i + 1} >= mu_{i + 1} >= lambda_{len(report.values_full) - len(report.values_sub) + i + 1}: "
-            f"{report.upper_ok[i]} / {report.lower_ok[i]}   (mu = {_fmt_dual(mu)})")
-    _emit_report(args, report.to_dict(), "\n".join(lines))
+    shift = len(report.values_full) - len(report.values_sub)
+    _emit(args, report.to_dict() if args.format == "json" else [
+        f"{args.matrix} interlacing on subset {list(report.subset)}: "
+        f"{'holds' if report.holds else 'VIOLATED'}",
+        *(f"  lambda_{i + 1} >= mu_{i + 1} >= lambda_{shift + i + 1}: "
+          f"{report.upper_ok[i]} / {report.lower_ok[i]}   (mu = {_fmt_dual(mu)})"
+          for i, mu in enumerate(report.values_sub))])
     return 0
 
 
@@ -138,15 +136,14 @@ def _cmd_charpoly(args) -> int:
     from_eigs = char_poly.char_poly_from_eigenvalues(eig)
     max_err = max((abs(c.std - e.std) + abs(c.dual - e.dual)
                    for c, e in zip(coeffs, from_eigs)), default=0.0)
-    payload = {
-        "coefficients": [{"std": c.std, "dual": c.dual} for c in coeffs],
-        "from_eigenvalues": [{"std": c.std, "dual": c.dual} for c in from_eigs],
-        "max_error": max_err,
-    }
-    lines = ["characteristic polynomial coefficients c_1..c_n:"]
-    lines += [f"  c_{i + 1} = {_fmt_dual(c)}" for i, c in enumerate(coeffs)]
-    lines.append(f"eigenvalue cross-check max error: {max_err:.3e}")
-    _emit_report(args, payload, "\n".join(lines))
+    if args.format == "json":
+        _emit(args, {"coefficients": [{"std": c.std, "dual": c.dual} for c in coeffs],
+                     "from_eigenvalues": [{"std": c.std, "dual": c.dual} for c in from_eigs],
+                     "max_error": max_err})
+    else:
+        _emit(args, ["characteristic polynomial coefficients c_1..c_n:",
+                     *(f"  c_{i + 1} = {_fmt_dual(c)}" for i, c in enumerate(coeffs)),
+                     f"eigenvalue cross-check max error: {max_err:.3e}"])
     return 0
 
 
@@ -154,15 +151,16 @@ def _cmd_mdet(args) -> int:
     phi = _load(args)
     direct = linalg.moore_determinant(spectra.adjacency_matrix(phi))
     via = char_poly.mdet_via_subgraphs(phi)
-    payload = {
-        "moore_determinant": {"std": list(direct.components()[0]),
-                              "dual": list(direct.components()[1])},
-        "via_subgraphs": {"std": list(via.components()[0]),
-                          "dual": list(via.components()[1])},
-    }
-    lines = [f"Moore determinant (permutation sum): {render_dual_scalar(direct)}",
-             f"Moore determinant (basic subgraphs): {render_dual_scalar(via)}"]
-    _emit_report(args, payload, "\n".join(lines))
+    if args.format == "json":
+        _emit(args, {
+            "moore_determinant": {"std": list(direct.components()[0]),
+                                  "dual": list(direct.components()[1])},
+            "via_subgraphs": {"std": list(via.components()[0]),
+                              "dual": list(via.components()[1])},
+        })
+    else:
+        _emit(args, [f"Moore determinant (permutation sum): {render_dual_scalar(direct)}",
+                     f"Moore determinant (basic subgraphs): {render_dual_scalar(via)}"])
     return 0
 
 
@@ -186,7 +184,7 @@ def _cmd_generate(args) -> int:
         gain = parse_dual_scalar(args.gain, args.ring)
     phi = graph_io.generate(args.family, n=args.n, ring=args.ring, gain=gain,
                             p=args.p, seed=args.seed)
-    _emit(args, graph_io.serialize(phi))
+    _emit(args, graph_io._document(phi))
     return 0
 
 
@@ -197,7 +195,7 @@ def _cmd_convert(args) -> int:
             raise BadParameterError(f"cannot narrow {phi.ring} to {args.ring}")
         widened = tuple(rings.widen(phi.ring, part, args.ring) for part in (phi.std, phi.dual))
         phi = GainGraph(phi.graph, args.ring, widened, phi.tol)
-    _emit(args, graph_io.serialize(phi))
+    _emit(args, graph_io._document(phi))
     return 0
 
 
@@ -209,9 +207,6 @@ def _spectra_close(a, b, tol):
     return len(a) == len(b) and all(
         abs(x.std - y.std) <= tol and abs(x.dual - y.dual) <= tol
         for x, y in zip(a, b))
-
-
-_KINDS = (spectra.KIND_ADJACENCY, spectra.KIND_LAPLACIAN)
 
 
 def _random_connected(rng, ring, lo, hi):
@@ -229,7 +224,7 @@ def _trial_interlacing(rng, trial):
     phi = _random_connected(rng, RINGS[trial % 3], 3, 9)
     k = int(rng.integers(1, phi.n))
     subset = sorted(rng.choice(phi.n, size=k, replace=False).tolist())
-    for kind in _KINDS:
+    for kind in spectra._KINDS:
         if not spectra.check_interlacing(phi, subset, kind).holds:
             return phi, f"{kind} interlacing violated on subset {subset}"
     return None
@@ -239,7 +234,7 @@ def _trial_switching(rng, trial):
     ring = RINGS[trial % 3]
     phi = _random_connected(rng, ring, 3, 9)
     switched = phi.switch(sampling.random_switching(rng, ring, phi.n))
-    for kind in _KINDS:
+    for kind in spectra._KINDS:
         before = spectra.spectrum(phi, kind, with_vectors=False).values
         after = spectra.spectrum(switched, kind, with_vectors=False).values
         if not _spectra_close(before, after, 1e-9):
@@ -249,7 +244,7 @@ def _trial_switching(rng, trial):
 
 def _trial_radius_bounds(rng, trial):
     phi = _random_connected(rng, RINGS[trial % 3], 3, 9)
-    for kind in _KINDS:
+    for kind in spectra._KINDS:
         report = spectra.radius_report(phi, kind)
         if not (report.bound_holds and report.delta_bound_holds):
             return phi, f"{kind} radius bound violated"
@@ -310,13 +305,13 @@ def _trial_closed_forms(rng, trial):
         rng, graph_io.cycle_graph(n, DualScalar.one(ring)).graph, ring)
     q = cyc.gain_of_walk(list(range(n)) + [0])
     tol = 1e-8 if ring == RING_QUATERNION else 1e-9
-    for kind in _KINDS:
+    for kind in spectra._KINDS:
         closed = spectra.cycle_spectrum_closed_form(n, q, kind).values
         dense = spectra.spectrum(cyc, kind, with_vectors=False).values
         if not _spectra_close(closed, dense, tol):
             return cyc, f"cycle {kind} closed form disagrees"
     pat = sampling.random_gain_graph(rng, graph_io.path_graph(n, ring).graph, ring)
-    for kind in _KINDS:
+    for kind in spectra._KINDS:
         closed = spectra.path_spectrum_closed_form(n, kind).values
         dense = spectra.spectrum(pat, kind, with_vectors=False).values
         if not _spectra_close(closed, dense, 1e-9):
@@ -352,15 +347,16 @@ def _cmd_check(args) -> int:
     payload = {"suite": args.suite, "trials": args.trials}
     if failure is None:
         payload.update(passes=args.trials, failures=0)
-        _emit_report(args, payload, f"check {args.suite}: {args.trials}/{args.trials} trials passed")
+        _emit(args, payload if args.format == "json" else
+              [f"check {args.suite}: {args.trials}/{args.trials} trials passed"])
         return 0
     trial, phi, message = failure
     counterexample = graph_io.serialize(phi) if phi is not None else None
     payload.update(passes=trial, failures=1, failed_trial=trial, message=message,
                    counterexample=counterexample)
-    table = (f"check {args.suite}: FAILED at trial {trial} ({message})\n"
-             + (f"counterexample:\n{counterexample}" if counterexample else ""))
-    _emit_report(args, payload, table)
+    _emit(args, payload if args.format == "json" else
+          [f"check {args.suite}: FAILED at trial {trial} ({message})",
+           *(["counterexample:", counterexample.removesuffix("\n")] if counterexample else [])])
     return 1
 
 
@@ -378,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_file:
             p.add_argument("file", help="gain graph file (.ggf)")
         if with_matrix:
-            p.add_argument("--matrix", choices=("adjacency", "laplacian"),
+            p.add_argument("--matrix", choices=spectra._KINDS,
                            default="adjacency")
         if with_tol:
             p.add_argument("--tol", type=float, default=UNIT_TOL,

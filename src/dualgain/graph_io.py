@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import operator
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -23,19 +23,38 @@ FORMAT_VERSION = 1
 
 
 def serialize(phi: GainGraph) -> str:
+    parts = []
+    _write_json(_document(phi), parts.append)
+    return "".join(parts)
+
+
+def _document(phi):
+    """The file document of `phi`: one record per canonical edge."""
     us, vs = phi.graph.edge_array.T.tolist()
     stds, duals = (rings.to_components(phi.ring, part).tolist()
                    for part in (phi.std, phi.dual))
-    edges = [{"u": u, "v": v, "gain_std": s, "gain_dual": d}
-             for u, v, s, d in zip(us, vs, stds, duals)]
-    doc = {
+    return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "ring": phi.ring,
         "n": phi.n,
-        "edges": edges,
+        "edges": [{"u": u, "v": v, "gain_std": s, "gain_dual": d}
+                  for u, v, s, d in zip(us, vs, stds, duals)],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+# encoder tokens joined per write: one write per token is slow, one string
+# for the whole document holds every token at once
+_CHUNK_TOKENS = 4096
+
+
+def _write_json(doc, write) -> None:
+    """Pass `json.dumps(doc, indent=2) + "\n"` to `write` in pieces of
+    _CHUNK_TOKENS encoder tokens, so the text never exists as one string."""
+    tokens = json.JSONEncoder(indent=2).iterencode(doc)
+    for chunk in iter(lambda: tuple(islice(tokens, _CHUNK_TOKENS)), ()):
+        write("".join(chunk))
+    write("\n")
 
 
 def parse(text: str, tol: float = UNIT_TOL) -> GainGraph:
@@ -139,7 +158,7 @@ def _integer(value, what):
 
 def save(phi: GainGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(phi))
+        _write_json(_document(phi), fh.write)
 
 
 def load(path, tol: float = UNIT_TOL) -> GainGraph:
@@ -204,6 +223,7 @@ def cycle_graph(n: int, gain: DualScalar) -> GainGraph:
 
 def complete_graph(n: int, ring: str = RING_COMPLEX) -> GainGraph:
     n = _check_n(n, 1)
+    rings.check_dense_size(ring, n)     # n(n-1)/2 edges
     graph = UnderlyingGraph(n, np.stack(np.triu_indices(n, 1), axis=1))
     return GainGraph(graph, ring, _neutral_gains(graph.m, ring))
 
@@ -218,6 +238,7 @@ def random_graph(n: int, p: float, seed: int, ring: str = RING_COMPLEX) -> GainG
         raise BadParameterError(f"edge probability {p!r} outside [0, 1]")
     if ring not in RINGS:
         raise BadRingError(f"unknown ring tag {ring!r}")
+    rings.check_dense_size(ring, n)     # one draw per vertex pair
     rng = np.random.default_rng(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     gains = {e: sampling.random_unit_scalar(rng, ring) for e in edges}

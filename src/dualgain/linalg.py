@@ -239,7 +239,8 @@ def _freeze(arr):
 
 def principal_submatrix(a: DualMatrix, subset) -> DualMatrix:
     """Rows and columns restricted to a vertex subset (in sorted order)."""
-    idx = np.ix_(sorted(set(int(i) for i in subset)), sorted(set(int(i) for i in subset)))
+    keep = sorted(set(int(i) for i in subset))
+    idx = np.ix_(keep, keep)
     return DualMatrix._adopt(a.ring, a.s[idx], a.d[idx])
 
 

@@ -5,7 +5,7 @@ for paths and cycles, spectral radii, interlacing checks and radius bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,23 +39,35 @@ def _check_kind(kind):
         raise BadParameterError(f"matrix kind must be one of {_KINDS}, got {kind!r}")
 
 
+def _plain(value):
+    """A field value as JSON data: a dual number as {"std", "dual"}, a tuple
+    as a list."""
+    if isinstance(value, DualNumber):
+        return {"std": value.std, "dual": value.dual}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+class _Record:
+    """Base of the result dataclasses: `to_dict` gives every field in
+    declaration order, except those marked `field(metadata={"json": False})`."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name))
+                for f in fields(self) if f.metadata.get("json", True)}
+
+
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """Dual-number eigenvalues sorted descending, with optional eigenvectors."""
 
     kind: str
     values: tuple
-    vectors: tuple | None = None
+    vectors: tuple | None = field(default=None, metadata={"json": False})
 
     def __len__(self):
         return len(self.values)
-
-    def to_dict(self) -> dict:
-        """The kind and the eigenvalues; vectors are not serialized."""
-        return {
-            "kind": self.kind,
-            "values": [{"std": v.std, "dual": v.dual} for v in self.values],
-        }
 
 
 def _adjacency_parts(phi: GainGraph):
@@ -194,16 +206,11 @@ def spectral_radius(spec) -> DualNumber:
     values = spec.values if isinstance(spec, Spectrum) else tuple(spec)
     if not values:
         raise BadParameterError("spectral radius of an empty spectrum")
-    best = None
-    for v in values:
-        m = v.magnitude()
-        if best is None or m > best:
-            best = m
-    return best
+    return max(v.magnitude() for v in values)
 
 
 @dataclass(frozen=True)
-class InterlacingReport:
+class InterlacingReport(_Record):
     """Per-inequality verdicts for one induced-subgraph interlacing check."""
 
     kind: str
@@ -213,17 +220,6 @@ class InterlacingReport:
     upper_ok: tuple      # lambda_i >= mu_i
     lower_ok: tuple      # mu_i >= lambda_{n + i - k}
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "subset": list(self.subset),
-            "values_full": [{"std": v.std, "dual": v.dual} for v in self.values_full],
-            "values_sub": [{"std": v.std, "dual": v.dual} for v in self.values_sub],
-            "upper_ok": list(self.upper_ok),
-            "lower_ok": list(self.lower_ok),
-            "holds": self.holds,
-        }
 
 
 def check_interlacing(phi: GainGraph, subset, kind: str = KIND_ADJACENCY) -> InterlacingReport:
@@ -252,7 +248,7 @@ def check_interlacing(phi: GainGraph, subset, kind: str = KIND_ADJACENCY) -> Int
 
 
 @dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(_Record):
     """Spectral radius of a gain graph against its underlying-graph bounds.
 
     For the adjacency kind the comparison radius is rho_A(G) and the degree
@@ -286,23 +282,6 @@ class RadiusReport:
     equality_predicted: bool | None
     consistent: bool | None
     paper_rule_holds: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rho_gain": {"std": self.rho_gain.std, "dual": self.rho_gain.dual},
-            "rho_graph": self.rho_graph,
-            "delta_bound": self.delta_bound,
-            "bound_holds": self.bound_holds,
-            "delta_bound_holds": self.delta_bound_holds,
-            "equality": self.equality,
-            "connected": self.connected,
-            "balanced": self.balanced,
-            "antibalanced": self.antibalanced,
-            "equality_predicted": self.equality_predicted,
-            "consistent": self.consistent,
-            "paper_rule_holds": self.paper_rule_holds,
-        }
 
 
 def underlying_radius(phi: GainGraph, kind: str = KIND_ADJACENCY) -> float:

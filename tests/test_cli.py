@@ -6,13 +6,15 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dualgain._rings as rings
 import dualgain.cli as cli_module
-from dualgain import SizeCapExceededError, check_interlacing, spectrum
+from dualgain import (SizeCapExceededError, check_interlacing, cycle_spectrum_closed_form,
+                      parse_dual_scalar, path_spectrum_closed_form, serialize, spectrum)
 from dualgain.cli import run
-from dualgain.graph_io import load, save
+from dualgain.graph_io import cycle_graph, load, path_graph, save
 from dualgain.spectra import radius_report
 
 
@@ -130,16 +132,28 @@ class TestClosedFormCommands:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak resident size from /proc/self/status")
-    @pytest.mark.parametrize("argv", [["path", "--format", "json"],
-                                      ["cycle", "--gain", "(0+1i)+(0.5+0i)*eps", "--format", "json"]],
-                             ids=lambda argv: argv[0])
-    def test_peak_per_vertex_within_the_size_guard(self, argv):
-        # the size guard of the closed forms admits n vertices while
-        # rings._VERTEX_BYTES * n fits in physical memory, so a query's peak
-        # over the import baseline must stay below that figure per vertex.
-        # VmHWM is the process's own peak; ru_maxrss would also count the
-        # parent's resident size, inherited through fork and exec.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["path", "--format", "json", "--n", "{n}"], id="path"),
+        pytest.param(["cycle", "--gain", "(0+1i)+(0.5+0i)*eps", "--format", "json",
+                      "--n", "{n}"], id="cycle"),
+        pytest.param(["generate", "path", "--ring", "quaternion", "--n", "{n}"],
+                     id="generate-path"),
+        pytest.param(["generate", "cycle", "--ring", "quaternion", "--gain",
+                      "(0+1i+0j+0k)+(0.5+0i+0j+0k)*eps", "--n", "{n}"], id="generate-cycle"),
+        pytest.param(["balance", "{file}", "--format", "json"], id="balance"),
+    ])
+    def test_peak_per_vertex_within_the_size_guard(self, argv, tmp_path):
+        # the vertex guard admits n vertices while rings._VERTEX_BYTES * n
+        # fits in physical memory, so the peak over the import baseline of a
+        # closed form, a graph written out or a graph pass over an edgeless
+        # file must stay below that figure per vertex.  VmHWM is the
+        # process's own peak; ru_maxrss would also count the parent's
+        # resident size, inherited through fork and exec.
         n = 50_000
+        edgeless = tmp_path / "edgeless.ggf"
+        edgeless.write_text(json.dumps({"format": "dual-gain-graph", "version": 1,
+                                        "ring": "quaternion", "n": n, "edges": []}))
+        argv = [a.format(n=n, file=edgeless) for a in argv]
         code = ("import sys\n"
                 "from dualgain.cli import run\n"
                 "def peak():\n"
@@ -150,7 +164,7 @@ class TestClosedFormCommands:
                 "code = run(sys.argv[1:])\n"
                 "print(code, peak() - base, file=sys.stderr)\n")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        out = subprocess.run([sys.executable, "-c", code, *argv, "--n", str(n)], env=env,
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                              timeout=120, check=True)
         status, grown = out.stderr.split()
@@ -321,6 +335,20 @@ class TestErrorHandling:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "physical memory" in captured.err
 
+    @pytest.mark.parametrize("family", ["complete", "random"])
+    def test_dense_family_refused_before_any_edge(self, family, monkeypatch, capsys):
+        # both families have O(n^2) vertex pairs; nothing may reach them
+        def never(*args, **kwargs):
+            raise AssertionError("edges built for a refused size")
+
+        monkeypatch.setattr(np, "triu_indices", never)
+        monkeypatch.setattr(np.random, "default_rng", never)
+        assert run(["generate", family, "--n", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "n=100000" in captured.err and "physical memory" in captured.err
+
     @pytest.mark.parametrize("flags", [["--keep", "0,999"], ["--keep=-1,2"], ["--drop", "99"],
                                        ["--drop=-1"]])
     def test_interlace_vertices_outside_the_graph(self, triangle_file, flags, capsys):
@@ -381,6 +409,102 @@ class TestErrorHandling:
         assert run(["spectrum", triangle_file, "--format", "json",
                     "--out", str(out_file)]) == 0
         json.loads(out_file.read_text())
+
+
+CYCLE_GAIN = "(0+1i)+(0.5+0i)*eps"
+
+
+def json_text(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def both_destinations(argv, tmp_path, capsys):
+    """The text one query prints to stdout and the text it writes to --out."""
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out_file = tmp_path / "answer.txt"
+    assert run([*argv, "--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    return printed, out_file.read_text(encoding="utf-8")
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("name", ["spectrum", "spectrum-laplacian", "radius", "interlace",
+                                      "cycle", "path-longer-than-a-chunk"])
+    def test_json_answer_is_its_dict_dumped(self, name, triangle_file, dual_spectrum_triangle,
+                                            tmp_path, capsys):
+        phi = dual_spectrum_triangle
+        argv, payload = {
+            "spectrum": (["spectrum", triangle_file],
+                         lambda: spectrum(phi, with_vectors=False).to_dict()),
+            "spectrum-laplacian": (["spectrum", triangle_file, "--matrix", "laplacian"],
+                                   lambda: spectrum(phi, "laplacian").to_dict()),
+            "radius": (["radius", triangle_file], lambda: radius_report(phi).to_dict()),
+            "interlace": (["interlace", triangle_file, "--keep", "0,2"],
+                          lambda: check_interlacing(phi, [0, 2]).to_dict()),
+            "cycle": (["cycle", "--n", "7", "--gain", CYCLE_GAIN],
+                      lambda: cycle_spectrum_closed_form(
+                          7, parse_dual_scalar(CYCLE_GAIN, "complex")).to_dict()),
+            "path-longer-than-a-chunk": (["path", "--n", "5000"],
+                                         lambda: path_spectrum_closed_form(5000).to_dict()),
+        }[name]
+        expected = json_text(payload())
+        assert both_destinations([*argv, "--format", "json"], tmp_path, capsys) == (expected,
+                                                                                     expected)
+
+    @pytest.mark.parametrize("argv", [["balance"], ["charpoly"], ["mdet"]])
+    def test_payload_answers_are_indented_json(self, argv, balanced_file, tmp_path, capsys):
+        printed, written = both_destinations([argv[0], balanced_file, "--format", "json"],
+                                             tmp_path, capsys)
+        assert printed == written == json_text(json.loads(printed))
+
+    def test_check_payload_bytes(self, tmp_path, capsys):
+        printed, written = both_destinations(["check", "dq2dc", "--trials", "3", "--format",
+                                              "json"], tmp_path, capsys)
+        assert printed == written == json_text({"suite": "dq2dc", "trials": 3, "passes": 3,
+                                                "failures": 0})
+
+    def test_empty_graph(self, tmp_path, capsys):
+        empty = tmp_path / "empty.ggf"
+        empty.write_text('{"format": "dual-gain-graph", "version": 1, "ring": "complex", '
+                         '"n": 0, "edges": []}')
+        printed, _ = both_destinations(["spectrum", str(empty), "--format", "json"],
+                                       tmp_path, capsys)
+        assert printed == json_text({"kind": "adjacency", "values": []})
+        assert '"values": []' in printed
+        printed, _ = both_destinations(["convert", str(empty)], tmp_path, capsys)
+        assert printed == serialize(load(empty)) and '"edges": []' in printed
+
+    @pytest.mark.parametrize("ring", ["real", "quaternion"])
+    def test_generated_graphs_are_serialized(self, ring, tmp_path, capsys):
+        # 3,000 edges are far more tokens than one write chunk
+        printed, written = both_destinations(["generate", "path", "--n", "3000", "--ring", ring],
+                                             tmp_path, capsys)
+        assert printed == written == serialize(path_graph(3000, ring))
+        gain = "(-1)+(0)*eps" if ring == "real" else "(0+1i+0j+0k)+(0.5+0i+0j+0k)*eps"
+        printed, written = both_destinations(["generate", "cycle", "--n", "4", "--ring", ring,
+                                              "--gain", gain], tmp_path, capsys)
+        assert printed == written == serialize(cycle_graph(4, parse_dual_scalar(gain, ring)))
+
+    def test_converted_graphs_are_serialized(self, triangle_file, tmp_path, capsys):
+        printed, written = both_destinations(["convert", triangle_file, "--ring", "quaternion"],
+                                             tmp_path, capsys)
+        assert printed == written == serialize(load(tmp_path / "answer.txt"))
+        assert '"ring": "quaternion"' in printed
+
+    def test_json_builds_no_table(self, triangle_file, monkeypatch, capsys):
+        def no_table(value):
+            raise AssertionError("table line formatted for JSON output")
+
+        monkeypatch.setattr(cli_module, "_fmt_dual", no_table)
+        for argv in (["spectrum", triangle_file], ["cycle", "--n", "5", "--gain", CYCLE_GAIN],
+                     ["path", "--n", "5"], ["interlace", triangle_file],
+                     ["radius", triangle_file], ["charpoly", triangle_file]):
+            assert run([*argv, "--format", "json"]) == 0, argv
+            json.loads(capsys.readouterr().out)
+        # the table is where it is used
+        assert run(["path", "--n", "5"]) == 2
+        assert "table line formatted" in capsys.readouterr().err
 
 
 def every_subcommand(graph_file):

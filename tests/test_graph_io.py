@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dualgain import (
     parse,
     serialize,
 )
+from dualgain import graph_io
 from dualgain.graph_io import cycle_graph, load, path_graph, random_graph, save
 from dualgain.sampling import random_connected_graph, random_gain_graph
 
@@ -39,6 +42,40 @@ class TestRoundTrip:
 
     def test_serialization_is_stable(self, dual_spectrum_triangle):
         assert serialize(dual_spectrum_triangle) == serialize(dual_spectrum_triangle)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_edgeless_round_trip(self, ring):
+        phi = path_graph(1, ring)
+        assert '"edges": []' in serialize(phi)
+        assert graphs_equal(parse(serialize(phi)), phi)
+
+    def test_save_writes_the_serialized_text(self, tmp_path):
+        phi = path_graph(3000, "quaternion")
+        save(phi, tmp_path / "p.ggf")
+        assert (tmp_path / "p.ggf").read_text() == serialize(phi)
+        assert serialize(phi) == json.dumps(graph_io._document(phi), indent=2) + "\n"
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("doc", [
+        [], {}, {"values": []}, {"a": [[], {}, [1, [2.5, None]]], "b": "x\u00b7\"y\""},
+        {"tiny": 5e-324, "huge": -1e300, "nan": float("nan"), "inf": float("inf")},
+        [True, False, None, 0, -0.0, 2**70],
+    ], ids=["empty-list", "empty-dict", "empty-values", "nested", "floats", "scalars"])
+    def test_bytes_equal_json_dumps(self, doc):
+        parts = []
+        graph_io._write_json(doc, parts.append)
+        assert "".join(parts) == json.dumps(doc, indent=2) + "\n"
+
+    def test_writes_a_chunk_of_tokens_at_a_time(self):
+        doc = {"values": [{"std": i / 7, "dual": -i / 3} for i in range(20_000)]}
+        tokens = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc))
+        assert tokens > 10 * graph_io._CHUNK_TOKENS
+        parts = []
+        graph_io._write_json(doc, parts.append)
+        assert "".join(parts) == json.dumps(doc, indent=2) + "\n"
+        # the chunks, then the closing newline
+        assert len(parts) == -(-tokens // graph_io._CHUNK_TOKENS) + 1
 
 
 class TestParseErrors:
