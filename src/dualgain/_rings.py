@@ -72,6 +72,19 @@ def check_vertex_count(n):
             f"of physical memory, which holds at most {physical // _VERTEX_BYTES} vertices")
 
 
+# bytes per edge of a graph file document, its graph included: `generate complete`
+# at n = 1,000 peaks at 541-646 / 638-750 / 814-990 (real / complex / quaternion)
+_EDGE_BYTES = 1280
+
+
+def check_edge_count(m):
+    """The same refusal for a graph file document of m edge records."""
+    physical = _physical_memory()
+    if physical is not None and _EDGE_BYTES * m > physical:
+        raise SizeCapExceededError(f"a graph file of m={m} edges needs more than the "
+                                   f"{physical / 2**30:.3g} GiB of physical memory")
+
+
 def eye(ring, n):
     out = zeros(ring, (n, n))
     if ring == RING_QUATERNION:

@@ -152,12 +152,8 @@ def _cmd_mdet(args) -> int:
     direct = linalg.moore_determinant(spectra.adjacency_matrix(phi))
     via = char_poly.mdet_via_subgraphs(phi)
     if args.format == "json":
-        _emit(args, {
-            "moore_determinant": {"std": list(direct.components()[0]),
-                                  "dual": list(direct.components()[1])},
-            "via_subgraphs": {"std": list(via.components()[0]),
-                              "dual": list(via.components()[1])},
-        })
+        _emit(args, {"moore_determinant": dict(zip(("std", "dual"), direct.components())),
+                     "via_subgraphs": dict(zip(("std", "dual"), via.components()))})
     else:
         _emit(args, [f"Moore determinant (permutation sum): {render_dual_scalar(direct)}",
                      f"Moore determinant (basic subgraphs): {render_dual_scalar(via)}"])
@@ -179,9 +175,7 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    gain = None
-    if args.gain is not None:
-        gain = parse_dual_scalar(args.gain, args.ring)
+    gain = None if args.gain is None else parse_dual_scalar(args.gain, args.ring)
     phi = graph_io.generate(args.family, n=args.n, ring=args.ring, gain=gain,
                             p=args.p, seed=args.seed)
     _emit(args, graph_io._document(phi))
@@ -294,8 +288,7 @@ def _trial_dq2dc(rng, trial):
 
 
 def _imag_magnitude(x: DualScalar) -> DualNumber:
-    re = x.real_part()
-    return (x - re.to_scalar(x.ring)).magnitude()
+    return (x - x.real_part().to_scalar(x.ring)).magnitude()
 
 
 def _trial_closed_forms(rng, trial):

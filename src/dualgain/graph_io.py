@@ -30,6 +30,7 @@ def serialize(phi: GainGraph) -> str:
 
 def _document(phi):
     """The file document of `phi`: one record per canonical edge."""
+    rings.check_edge_count(phi.graph.m)
     us, vs = phi.graph.edge_array.T.tolist()
     stds, duals = (rings.to_components(phi.ring, part).tolist()
                    for part in (phi.std, phi.dual))
@@ -157,8 +158,9 @@ def _integer(value, what):
 
 
 def save(phi: GainGraph, path) -> None:
+    doc = _document(phi)    # a refused document leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(_document(phi), fh.write)
+        _write_json(doc, fh.write)
 
 
 def load(path, tol: float = UNIT_TOL) -> GainGraph:
@@ -236,8 +238,7 @@ def random_graph(n: int, p: float, seed: int, ring: str = RING_COMPLEX) -> GainG
     n = _check_n(n, 1)
     if not 0.0 <= p <= 1.0:
         raise BadParameterError(f"edge probability {p!r} outside [0, 1]")
-    if ring not in RINGS:
-        raise BadRingError(f"unknown ring tag {ring!r}")
+    rings.check_ring(ring)
     rings.check_dense_size(ring, n)     # one draw per vertex pair
     rng = np.random.default_rng(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]

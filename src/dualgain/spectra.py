@@ -23,7 +23,7 @@ from .scalars import (
     UNIT_TOL,
     dual_geq,
 )
-from .transcendental import DualAngle, dual_cos, reduce_to_complex, unit_to_angle
+from .transcendental import reduce_to_complex, unit_to_angle
 
 KIND_ADJACENCY = "adjacency"
 KIND_LAPLACIAN = "laplacian"
@@ -131,13 +131,11 @@ def path_spectrum_closed_form(n: int, kind: str = KIND_ADJACENCY) -> Spectrum:
         raise BadParameterError("a path needs at least one vertex")
     rings.check_vertex_count(n)
     if kind == KIND_ADJACENCY:
-        vals = [DualNumber(2.0 * math.cos(math.pi * j / (n + 1)), 0.0)
-                for j in range(1, n + 1)]
+        std = 2.0 * np.cos(math.pi * np.arange(1.0, n + 1) / (n + 1))
     else:
-        vals = [DualNumber(2.0 - 2.0 * math.cos(math.pi * j / n), 0.0)
-                for j in range(n)]
-    vals.sort(key=lambda v: (-v.std, -v.dual))
-    return Spectrum(kind, tuple(vals))
+        std = 2.0 - 2.0 * np.cos(math.pi * np.arange(float(n)) / n)
+    # descending; equal values have equal bits (no -0.0), so stability is moot
+    return Spectrum(kind, tuple(map(DualNumber, np.sort(std)[::-1].tolist())))
 
 
 def cycle_spectrum_closed_form(n: int, gain: DualScalar, kind: str = KIND_ADJACENCY,
@@ -146,9 +144,10 @@ def cycle_spectrum_closed_form(n: int, gain: DualScalar, kind: str = KIND_ADJACE
 
     For a dual complex unit gain with angle theta the adjacency eigenvalues
     are 2 cos((theta + 2 pi j) / n) and the Laplacian ones 2 minus that,
-    j = 0..n-1, evaluated with the dual cosine.  Dual quaternion gains are
-    reduced to a similar dual complex number first; dual real gains embed
-    into the complex ring.
+    j = 0..n-1, with the dual cosine cos(a) = cos(a_s) - a_d sin(a_s) eps and
+    a_s wrapped to (-pi, pi] as DualAngle wraps it.  Dual quaternion gains
+    are reduced to a similar dual complex number first; dual real gains
+    embed into the complex ring.
     """
     _check_kind(kind)
     if n < 3:
@@ -156,45 +155,38 @@ def cycle_spectrum_closed_form(n: int, gain: DualScalar, kind: str = KIND_ADJACE
     rings.check_vertex_count(n)
     if not isinstance(gain, DualScalar):
         raise RingMismatchError("gain must be a dual scalar")
-    q = gain
-    if q.ring == RING_QUATERNION:
-        q, _ = reduce_to_complex(q)
-    elif q.ring == RING_REAL:
-        q = q.widen(RING_COMPLEX)
-    theta = unit_to_angle(q, tol)
-    vals = []
-    for j in range(n):
-        angle = DualAngle((theta.std + 2.0 * math.pi * j) / n, theta.dual / n)
-        c = dual_cos(angle)
-        if kind == KIND_ADJACENCY:
-            vals.append(DualNumber(2.0 * c.std, 2.0 * c.dual))
-        else:
-            vals.append(DualNumber(2.0 - 2.0 * c.std, -2.0 * c.dual))
-    return Spectrum(kind, tuple(_merge_degenerate_and_sort(vals)))
+    if gain.ring == RING_QUATERNION:
+        gain, _ = reduce_to_complex(gain)
+    theta = unit_to_angle(gain.widen(RING_COMPLEX), tol)
+    angle = (theta.std + 2.0 * math.pi * np.arange(float(n))) / n % (2.0 * math.pi)
+    angle[angle > math.pi] -= 2.0 * math.pi
+    std, dual = 2.0 * np.cos(angle), 2.0 * (-(theta.dual / n) * np.sin(angle))
+    if kind == KIND_LAPLACIAN:
+        std, dual = 2.0 - std, -dual
+    return Spectrum(kind, _merge_degenerate_and_sort(std, dual))
 
 
-def _merge_degenerate_and_sort(vals):
-    """Descending dual-order sort that ignores rounding noise in the
-    standard parts.
-
-    Angles theta and -theta give mathematically equal standard parts whose
-    floating-point cosines can differ in the last bit; without merging, that
-    noise (not the dual parts) would decide the order of a degenerate pair.
-    """
-    vals = sorted(vals, key=lambda v: -v.std)
-    out = []
-    i = 0
-    while i < len(vals):
-        j = i
-        while (j + 1 < len(vals)
-               and vals[i].std - vals[j + 1].std <= 1e-12 * max(1.0, abs(vals[i].std))):
-            j += 1
-        group = vals[i:j + 1]
-        mean_std = sum(v.std for v in group) / len(group)
-        out.extend(sorted((DualNumber(mean_std, v.dual) for v in group),
-                          key=lambda v: -v.dual))
-        i = j + 1
-    return out
+def _merge_degenerate_and_sort(std, dual):
+    """The (std, dual) arrays as dual numbers sorted descending, ignoring the
+    last-bit noise in the standard parts that would otherwise order the
+    degenerate pairs of angles theta and -theta.  After a stable sort on
+    std, value v joins the group of the value before it when the group's
+    first member a has a - v <= 1e-12 max(1, |a|); a group takes the mean
+    std of its members, and its duals sort stably descending."""
+    order = np.argsort(-std, kind="stable")
+    std, dual, n = std[order], dual[order], len(std)
+    reach = 1e-12 * np.maximum(1.0, np.abs(std))
+    anchor = np.arange(n)
+    while True:     # until no anchor moves; one pass when no two values are close
+        prev = anchor[:-1]
+        new = np.where(std[prev] - std[1:] <= reach[prev], prev, np.arange(1, n))
+        if (new == anchor[1:]).all():
+            break
+        anchor[1:] = new
+    dual = dual[np.lexsort((-dual, anchor))]
+    # bincount adds each group's members in order, from 0.0, as sum() does
+    std = np.bincount(anchor, weights=std)[anchor] / np.bincount(anchor)[anchor]
+    return tuple(map(DualNumber, std.tolist(), dual.tolist()))
 
 
 # ---------------------------------------------------------------------------

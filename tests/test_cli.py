@@ -14,8 +14,39 @@ import dualgain.cli as cli_module
 from dualgain import (SizeCapExceededError, check_interlacing, cycle_spectrum_closed_form,
                       parse_dual_scalar, path_spectrum_closed_form, serialize, spectrum)
 from dualgain.cli import run
-from dualgain.graph_io import cycle_graph, load, path_graph, save
+from dualgain.graph_io import complete_graph, cycle_graph, load, path_graph, save
 from dualgain.spectra import radius_report
+
+
+# Runs `dualgain.cli.run(argv)` in a fresh interpreter and prints its exit
+# status and its peak resident size over the import baseline.  VmHWM is the
+# process's own peak; ru_maxrss would also count the parent's resident size,
+# inherited through fork and exec.
+PEAK_SCRIPT = """
+import sys
+from dualgain.cli import run
+def peak():
+    with open('/proc/self/status') as status:
+        line = next(line for line in status if line.startswith('VmHWM:'))
+    return int(line.split()[1]) * 1024
+base = peak()
+code = run(sys.argv[1:])
+print(code, peak() - base, file=sys.stderr)
+"""
+
+
+def start_peak_run(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.Popen([sys.executable, "-c", PEAK_SCRIPT, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def peak_over_import(proc):
+    """(exit status, peak bytes over the import baseline) of a start_peak_run."""
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    status, grown = err.split()
+    return int(status), int(grown)
 
 
 @pytest.fixture
@@ -146,30 +177,15 @@ class TestClosedFormCommands:
         # the vertex guard admits n vertices while rings._VERTEX_BYTES * n
         # fits in physical memory, so the peak over the import baseline of a
         # closed form, a graph written out or a graph pass over an edgeless
-        # file must stay below that figure per vertex.  VmHWM is the
-        # process's own peak; ru_maxrss would also count the parent's
-        # resident size, inherited through fork and exec.
+        # file must stay below that figure per vertex
         n = 50_000
         edgeless = tmp_path / "edgeless.ggf"
         edgeless.write_text(json.dumps({"format": "dual-gain-graph", "version": 1,
                                         "ring": "quaternion", "n": n, "edges": []}))
         argv = [a.format(n=n, file=edgeless) for a in argv]
-        code = ("import sys\n"
-                "from dualgain.cli import run\n"
-                "def peak():\n"
-                "    with open('/proc/self/status') as status:\n"
-                "        line = next(line for line in status if line.startswith('VmHWM:'))\n"
-                "    return int(line.split()[1]) * 1024\n"
-                "base = peak()\n"
-                "code = run(sys.argv[1:])\n"
-                "print(code, peak() - base, file=sys.stderr)\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                             timeout=120, check=True)
-        status, grown = out.stderr.split()
-        assert status == "0"
-        assert int(grown) / n <= rings._VERTEX_BYTES
+        status, grown = peak_over_import(start_peak_run(argv))
+        assert status == 0
+        assert grown / n <= rings._VERTEX_BYTES
 
 
 class TestGenerateConvert:
@@ -198,6 +214,21 @@ class TestGenerateConvert:
         assert run(["convert", triangle_file]) == 0
         out = capsys.readouterr().out
         assert out == open(triangle_file).read()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident size from /proc/self/status")
+    def test_generate_complete_peak_per_edge_within_the_edge_guard(self):
+        # the edge guard admits a document of m edge records while
+        # rings._EDGE_BYTES * m fits in physical memory; the complete graph
+        # has the most edges per vertex, so its peak bounds that figure.
+        # The three rings run at once.
+        n = 1000
+        runs = [start_peak_run(["generate", "complete", "--ring", ring, "--n", str(n)])
+                for ring in ("real", "complex", "quaternion")]
+        for proc in runs:
+            status, grown = peak_over_import(proc)
+            assert status == 0
+            assert grown / (n * (n - 1) // 2) <= rings._EDGE_BYTES
 
 
 class TestLoadTolerance:
@@ -348,6 +379,31 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "n=100000" in captured.err and "physical memory" in captured.err
+
+    def test_complete_document_refused_beyond_physical_memory(self, monkeypatch, capsys):
+        # 64 MiB admits the dense working set of K_400 (51 MB) but not its
+        # 79,800 edge records at rings._EDGE_BYTES each
+        monkeypatch.setattr(rings, "_physical_memory", lambda: 64 * 2**20)
+        assert run(["generate", "complete", "--n", "400", "--ring", "quaternion"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "m=79800" in captured.err and "physical memory" in captured.err
+
+    def test_convert_and_save_refused_beyond_physical_memory(self, tmp_path, monkeypatch,
+                                                             capsys):
+        source, target = tmp_path / "k60.ggf", tmp_path / "kept.ggf"
+        save(complete_graph(60, "real"), source)
+        target.write_text("kept")
+        monkeypatch.setattr(rings, "_physical_memory", lambda: 2 * 2**20)
+        assert run(["convert", str(source), "--ring", "quaternion"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "m=1770" in captured.err
+        with pytest.raises(SizeCapExceededError):
+            save(load(str(source)), target)
+        assert target.read_text() == "kept"
 
     @pytest.mark.parametrize("flags", [["--keep", "0,999"], ["--keep=-1,2"], ["--drop", "99"],
                                        ["--drop=-1"]])

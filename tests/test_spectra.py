@@ -10,6 +10,7 @@ import pytest
 import dualgain._rings as rings
 import dualgain.linalg as linalg_module
 import dualgain.spectra as spectra_module
+import dualgain.transcendental as transcendental
 from dualgain import (
     BadParameterError,
     DualNumber,
@@ -44,6 +45,7 @@ from dualgain.sampling import (
     random_unbalanced_connected,
     random_unit_scalar,
 )
+from dualgain.transcendental import DualAngle, dual_cos, reduce_to_complex, unit_to_angle
 
 S2 = math.sqrt(2.0)
 
@@ -174,6 +176,169 @@ class TestClosedForms:
             closed = path_spectrum_closed_form(n).values
             dense = spectrum(phi, with_vectors=False).values
             assert spectra_close(closed, dense, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# scalar oracle of the closed forms: one DualAngle, one dual_cos and two
+# DualNumbers per vertex, then a merge loop over the sorted values
+
+
+def oracle_path(n, kind):
+    if kind == KIND_ADJACENCY:
+        vals = [DualNumber(2.0 * math.cos(math.pi * j / (n + 1)), 0.0)
+                for j in range(1, n + 1)]
+    else:
+        vals = [DualNumber(2.0 - 2.0 * math.cos(math.pi * j / n), 0.0)
+                for j in range(n)]
+    vals.sort(key=lambda v: (-v.std, -v.dual))
+    return vals
+
+
+def oracle_cycle(n, gain, kind):
+    q = gain
+    if q.ring == "quaternion":
+        q, _ = reduce_to_complex(q)
+    elif q.ring == "real":
+        q = q.widen("complex")
+    theta = unit_to_angle(q)
+    vals = []
+    for j in range(n):
+        angle = DualAngle((theta.std + 2.0 * math.pi * j) / n, theta.dual / n)
+        c = dual_cos(angle)
+        if kind == KIND_ADJACENCY:
+            vals.append(DualNumber(2.0 * c.std, 2.0 * c.dual))
+        else:
+            vals.append(DualNumber(2.0 - 2.0 * c.std, -2.0 * c.dual))
+    return oracle_merge(vals)
+
+
+def oracle_merge(vals):
+    vals = sorted(vals, key=lambda v: -v.std)
+    out = []
+    i = 0
+    while i < len(vals):
+        j = i
+        while (j + 1 < len(vals)
+               and vals[i].std - vals[j + 1].std <= 1e-12 * max(1.0, abs(vals[i].std))):
+            j += 1
+        group = vals[i:j + 1]
+        mean_std = sum(v.std for v in group) / len(group)
+        out.extend(sorted((DualNumber(mean_std, v.dual) for v in group),
+                          key=lambda v: -v.dual))
+        i = j + 1
+    return out
+
+
+def bits(values):
+    """repr of every (std, dual): equal only when every bit, signed zeros
+    included, is equal."""
+    return repr([(v.std, v.dual) for v in values])
+
+
+def _unit(angle, dual_angle):
+    """The unit dual complex number e^(i (angle + dual_angle eps))."""
+    s = complex(math.cos(angle), math.sin(angle))
+    return DualScalar.complex(s, 1j * dual_angle * s)
+
+
+ORACLE_GAINS = {
+    "real+1": DualScalar.real(1.0, 0.0),
+    "real-1": DualScalar.real(-1.0, 0.0),
+    "complex+1": DualScalar.complex(1, 0.5j),
+    "complex-1": DualScalar.complex(-1, -0.3j),
+    "complex+i": DualScalar.complex(1j, 0.5),
+    "complex-i": DualScalar.complex(-1j, 0.25),
+    "complex-generic": _unit(0.7, 0.4),
+    "quaternion-real-std": DualScalar.quaternion(Quaternion(-1.0), Quaternion(0, 0.2, 0, 0)),
+    "quaternion-i": DualScalar.quaternion(Quaternion(0, 1, 0, 0), Quaternion(0.5, 0, 0.25, 0)),
+    "quaternion-generic": DualScalar.quaternion(
+        Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(-0.1, 0.1, 0.3, -0.3)),
+    **{f"random-{ring}-{k}": random_unit_scalar(np.random.default_rng([7, k]), ring)
+       for ring in RINGS for k in range(2)},
+}
+
+
+class TestClosedFormOracle:
+    """The array closed forms reproduce the scalar loops bit for bit."""
+
+    @pytest.mark.parametrize("sizes, gains", [
+        (range(3, 81), ORACLE_GAINS),
+        ([997, 1000, 4096], ORACLE_GAINS),
+        # the scalar oracle takes ~0.2 s per spectrum here: one gain per family
+        ([30000], ["real-1", "complex+1", "complex+i", "quaternion-real-std",
+                   "quaternion-generic", "random-complex-0"]),
+    ], ids=["3-80", "997-4096", "30000"])
+    @pytest.mark.parametrize("kind", [KIND_ADJACENCY, KIND_LAPLACIAN])
+    def test_cycle_bits(self, sizes, gains, kind):
+        for n in sizes:
+            for name in gains:
+                gain = ORACLE_GAINS[name]
+                got = cycle_spectrum_closed_form(n, gain, kind).values
+                assert bits(got) == bits(oracle_cycle(n, gain, kind)), (n, name)
+
+    @pytest.mark.parametrize("kind", [KIND_ADJACENCY, KIND_LAPLACIAN])
+    def test_path_bits(self, kind):
+        for n in [*range(1, 81), 997, 1000, 4096, 30000]:
+            got = path_spectrum_closed_form(n, kind).values
+            assert bits(got) == bits(oracle_path(n, kind)), n
+
+    def test_real_minus_one_laplacian_keeps_signed_zeros(self):
+        # the hexagon with gain -1 has Laplacian eigenvalues 1, 3 and 4 in
+        # degenerate pairs whose dual parts are 0.0 and -0.0; a sort that is
+        # not stable on -dual swaps them
+        got = cycle_spectrum_closed_form(6, DualScalar.real(-1.0, 0.0), KIND_LAPLACIAN).values
+        assert bits(got) == bits(oracle_cycle(6, DualScalar.real(-1.0, 0.0), KIND_LAPLACIAN))
+        assert "-0.0" in bits(got)
+
+    def test_merge_bits_on_near_ties(self):
+        # groups longer than two, chains that an anchored group must cut,
+        # both signs of zero in both parts, and magnitudes on both sides of 1
+        rng = np.random.default_rng(11)
+        for _ in range(1500):
+            n = int(rng.integers(1, 40))
+            base = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1e3, -1e3])
+            step = rng.choice([0.0, 3e-13, 7e-13, 1e-12, 2e-12, 1e-10]) * (1 + abs(base))
+            std = base + step * rng.integers(0, 8, n) * rng.choice([1, -1], n)
+            if rng.random() < 0.2:
+                std = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+            dual = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], n)
+            got = spectra_module._merge_degenerate_and_sort(std, dual)
+            want = oracle_merge(list(map(DualNumber, std.tolist(), dual.tolist())))
+            assert bits(got) == bits(want), (std.tolist(), dual.tolist())
+
+    def test_merge_groups_are_anchored_not_chained(self):
+        # each neighbour is within 1e-12 of the next, but the third is not
+        # within 1e-12 of the first: two groups, not one
+        std = np.array([1.0, 1.0 - 0.8e-12, 1.0 - 1.6e-12])
+        got = [v.std for v in spectra_module._merge_degenerate_and_sort(std, np.zeros(3))]
+        assert got[0] == got[1] != got[2]
+        assert got[2] == std[2]
+
+    @pytest.mark.parametrize("gain", [DualScalar.complex(1j, 0.5),
+                                      DualScalar.quaternion(Quaternion(0, 1, 0, 0),
+                                                            Quaternion(0.5, 0, 0.25, 0))])
+    def test_no_dual_angle_or_dual_cos_per_vertex(self, gain, monkeypatch):
+        angles, cosines = [], []
+        original_init = transcendental.DualAngle.__init__
+
+        def counting_init(self, *args):
+            angles.append(1)
+            original_init(self, *args)
+
+        def counting_cos(theta):
+            cosines.append(1)
+            return dual_cos(theta)
+
+        monkeypatch.setattr(transcendental.DualAngle, "__init__", counting_init)
+        monkeypatch.setattr(transcendental, "dual_cos", counting_cos)
+        monkeypatch.setattr(spectra_module, "dual_cos", counting_cos, raising=False)
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            angles.clear()
+            cycle_spectrum_closed_form(50, gain, kind)
+            assert len(angles) <= 1      # the one unit_to_angle returns
+            path_spectrum_closed_form(50, kind)
+            assert len(angles) <= 1
+        assert cosines == []
 
 
 class TestSpectralRadius:

@@ -6,8 +6,9 @@ for byte.
 Each checkout runs the same cases through `dualgain.cli.run` in its own
 fresh interpreter, with its own `src/` on the path: all 11 subcommands,
 table and JSON, to stdout and to `--out`, on small graphs of every ring, an
-n = 0 graph, JSON payloads longer than one write chunk, and a rigged failing
-`check` suite with and without a counterexample.  Stdout, stderr, the
+n = 0 graph, JSON payloads longer than one write chunk, closed-form cycles
+whose degenerate pairs the merge groups, and a rigged failing `check` suite
+with and without a counterexample.  Stdout, stderr, the
 `--out` file and the exit status of every case must agree.  Exits 0 when
 all cases agree and 1 otherwise, naming each differing case.
 """
@@ -73,6 +74,15 @@ def cases():
             (f"path-large-{fmt}", ["path", "--n", "30000", *f]),
             (f"cycle-large-{fmt}", ["cycle", "--n", "30000", "--gain", "(0+1i)+(0.5+0i)*eps",
                                     *f]),
+            # degenerate pairs with split dual parts, which the merge groups
+            (f"cycle-large-pairs-{fmt}", ["cycle", "--n", "30000", "--gain",
+                                          "(1+0i)+(0+0.5i)*eps", *f]),
+            (f"cycle-large-pairs-lap-{fmt}", ["cycle", "--n", "30000", "--gain",
+                                              "(1+0i)+(0+0.5i)*eps", "--matrix", "laplacian",
+                                              *f]),
+            (f"cycle-quaternion-pairs-{fmt}", ["cycle", "--n", "7", "--ring", "quaternion",
+                                               "--gain", "(-1+0i+0j+0k)+(0+0.2i+0j+0k)*eps",
+                                               *f]),
             (f"check-{fmt}", ["check", "closed-forms", "--trials", "3", "--seed", "5", *f]),
             (f"check-rigged-graph-{fmt}", ["check", "rigged-graph", *f]),
             (f"check-rigged-none-{fmt}", ["check", "rigged-none", *f]),
