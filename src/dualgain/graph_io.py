@@ -232,7 +232,8 @@ def complete_graph(n: int, ring: str = RING_COMPLEX) -> GainGraph:
 
 def random_graph(n: int, p: float, seed: int, ring: str = RING_COMPLEX) -> GainGraph:
     """G(n, p) underlying graph with random unit gains; deterministic per
-    seed."""
+    seed.  The pair mask and the gains are drawn as arrays, and a graph
+    file of that many edges is refused before any gain is drawn."""
     from . import sampling
 
     n = _check_n(n, 1)
@@ -241,6 +242,8 @@ def random_graph(n: int, p: float, seed: int, ring: str = RING_COMPLEX) -> GainG
     rings.check_ring(ring)
     rings.check_dense_size(ring, n)     # one draw per vertex pair
     rng = np.random.default_rng(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    gains = {e: sampling.random_unit_scalar(rng, ring) for e in edges}
-    return GainGraph(UnderlyingGraph(n, edges), ring, gains)
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    pairs = pairs[rng.random(len(pairs)) < p]
+    rings.check_edge_count(len(pairs))
+    return GainGraph(UnderlyingGraph(n, pairs), ring,
+                     sampling._random_unit_gains(rng, ring, len(pairs)))

@@ -271,8 +271,8 @@ def hermitian_eigendecomposition(a: DualMatrix) -> list[EigenPair]:
     directions.  Output is deterministic: each eigenvector is gauged so its
     first appreciable standard entry is positive real.
     """
-    values, vectors = _eigensystem(a, with_vectors=True)
-    return [EigenPair(value, vector) for value, vector in zip(values, vectors)]
+    std, dual, vectors = _eigensystem(a, with_vectors=True)
+    return list(map(EigenPair, map(DualNumber, std.tolist(), dual.tolist()), vectors))
 
 
 _GAUGE_THRESHOLD = 1e-8     # standard entries this small are passed over by the gauge
@@ -284,8 +284,8 @@ _MOORE_TAIL = 7             # Moore words come in chunks of at most 7! = 5,040 r
 
 
 def _eigensystem(a: DualMatrix, *, with_vectors: bool):
-    """The dual eigenvalues, sorted descending under the dual-number order,
-    and their gauged eigenvectors (None when with_vectors is false).
+    """The read-only std and dual arrays of the eigenvalues, sorted descending
+    under the dual order, and their gauged eigenvectors (None without vectors).
 
     After the Hermitian solve A_s V = V diag(w), every step works on the
     one Gram matrix G = V* A_d V: singleton clusters read their dual parts
@@ -300,7 +300,7 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
     ring = a.ring
     n = a.n_rows
     if n == 0:
-        return (), (() if with_vectors else None)
+        return _freeze(np.zeros(0)), _freeze(np.zeros(0)), (() if with_vectors else None)
 
     w, v = rings.eigh(ring, rings.symmetrize(ring, a.s))
     g = rings.matmul(ring, rings.conj_transpose(ring, v),
@@ -321,15 +321,15 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
             g[cl, :] = rings.matmul(ring, rings.conj_transpose(ring, z), g[cl, :])
             delta[cl, cl] = np.inf
     order = np.lexsort((-lam_d, -w))
-    values = tuple(DualNumber(float(w[i]), float(lam_d[i])) for i in order)
+    std, dual = _freeze(w[order]), _freeze(lam_d[order])
     if not with_vectors:
-        return values, None
+        return std, dual, None
 
     g /= delta[..., None] if ring == RING_QUATERNION else delta
     x_d = rings.matmul(ring, v, g)
     _gauge(ring, v, x_d)
     v, x_d = _freeze(v), _freeze(x_d)
-    return values, tuple(DualVector._adopt(ring, v[:, i], x_d[:, i]) for i in order)
+    return std, dual, tuple(DualVector._adopt(ring, v[:, i], x_d[:, i]) for i in order)
 
 
 def _check_hermitian(a: DualMatrix):

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import _rings as rings
 from .gain_graph import GainGraph, UnderlyingGraph
 from .graph_io import _neutral_gains
 from .linalg import DualMatrix
@@ -25,18 +26,30 @@ from .scalars import (
 
 
 def random_unit_scalar(rng: np.random.Generator, ring: str) -> DualScalar:
+    std, dual = _random_unit_gains(rng, ring, 1)
+    return DualScalar(ring, rings.get(ring, std, (0,)), rings.get(ring, dual, (0,)))
+
+
+def _random_unit_gains(rng: np.random.Generator, ring: str, m: int):
+    """The split-layout (std, dual) arrays of m random unit gains.  Each
+    step is the scalar formula's, in its order, so one gain has its bits;
+    real and quaternion blocks also hold the numbers of m one-gain draws,
+    complex ones (an angle and a dual angle per gain) do not."""
     if ring == RING_REAL:
-        return DualScalar.real(1.0 if rng.random() < 0.5 else -1.0, 0.0)
+        return np.where(rng.random(m) < 0.5, 1.0, -1.0), np.zeros(m)
     if ring == RING_COMPLEX:
-        theta_s = rng.uniform(-math.pi, math.pi)
-        theta_d = rng.normal()
-        ps = complex(math.cos(theta_s), math.sin(theta_s))
-        return DualScalar.complex(ps, 1j * theta_d * ps)
-    qs = Quaternion.from_components(rng.normal(size=4))
-    qs = qs * (1.0 / abs(qs))
-    raw = Quaternion.from_components(rng.normal(size=4))
-    pd = raw - qs * (qs.conjugate() * raw).w
-    return DualScalar.quaternion(qs, pd)
+        theta_s, theta_d = rng.uniform(-math.pi, math.pi, m), rng.normal(size=m)
+        c, s = np.cos(theta_s), np.sin(theta_s)
+        zr, zi = 0.0 * theta_d, theta_d + 0.0     # i theta_d, signed zeros as (1j * x) has them
+        std, dual = (c, s), (zr * c - zi * s, zr * s + zi * c)
+    else:
+        q, raw = rng.normal(size=(m, 2, 4)).transpose(1, 2, 0)
+        std = q * (1.0 / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
+        # Re(conj(p_s) raw), the w term of the quaternion product: x - (-a) b is
+        # x + a b to the bit
+        w = std[0] * raw[0] + std[1] * raw[1] + std[2] * raw[2] + std[3] * raw[3]
+        dual = raw - std * w
+    return tuple(rings.from_components(ring, np.stack(part, axis=1)) for part in (std, dual))
 
 
 def random_scalar(rng: np.random.Generator, ring: str) -> DualScalar:

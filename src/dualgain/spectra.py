@@ -5,7 +5,8 @@ for paths and cycles, spectral radii, interlacing checks and radius bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -51,23 +52,36 @@ def _plain(value):
 
 class _Record:
     """Base of the result dataclasses: `to_dict` gives every field in
-    declaration order, except those marked `field(metadata={"json": False})`."""
+    declaration order."""
 
     def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name))
-                for f in fields(self) if f.metadata.get("json", True)}
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class Spectrum(_Record):
-    """Dual-number eigenvalues sorted descending, with optional eigenvectors."""
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigenvalues sorted descending under the dual order as two read-only
+    float arrays, std and dual parts, with optional eigenvectors."""
 
     kind: str
-    values: tuple
-    vectors: tuple | None = field(default=None, metadata={"json": False})
+    std: np.ndarray
+    dual: np.ndarray
+    vectors: tuple | None = None
+
+    def __post_init__(self):
+        self.std.flags.writeable = self.dual.flags.writeable = False
 
     def __len__(self):
-        return len(self.values)
+        return len(self.std)
+
+    @cached_property
+    def values(self) -> tuple:
+        """The eigenvalues as dual numbers, built on first use."""
+        return tuple(map(DualNumber, self.std.tolist(), self.dual.tolist()))
+
+    def to_dict(self) -> dict:
+        pairs = zip(self.std.tolist(), self.dual.tolist())
+        return {"kind": self.kind, "values": [{"std": s, "dual": d} for s, d in pairs]}
 
 
 def _adjacency_parts(phi: GainGraph):
@@ -113,10 +127,7 @@ def spectrum(phi: GainGraph, kind: str = KIND_ADJACENCY, *,
     """Eigendecompose the chosen matrix, sorted descending under the dual
     order.  Without vectors the solve stops once the eigenvalues are known."""
     matrix = gain_matrix(phi, kind)
-    if not with_vectors:
-        return Spectrum(kind, linalg._eigensystem(matrix, with_vectors=False)[0])
-    pairs = linalg.hermitian_eigendecomposition(matrix)
-    return Spectrum(kind, tuple(p.value for p in pairs), tuple(p.vector for p in pairs))
+    return Spectrum(kind, *linalg._eigensystem(matrix, with_vectors=with_vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +146,7 @@ def path_spectrum_closed_form(n: int, kind: str = KIND_ADJACENCY) -> Spectrum:
     else:
         std = 2.0 - 2.0 * np.cos(math.pi * np.arange(float(n)) / n)
     # descending; equal values have equal bits (no -0.0), so stability is moot
-    return Spectrum(kind, tuple(map(DualNumber, np.sort(std)[::-1].tolist())))
+    return Spectrum(kind, np.sort(std)[::-1], np.zeros(n))
 
 
 def cycle_spectrum_closed_form(n: int, gain: DualScalar, kind: str = KIND_ADJACENCY,
@@ -163,16 +174,16 @@ def cycle_spectrum_closed_form(n: int, gain: DualScalar, kind: str = KIND_ADJACE
     std, dual = 2.0 * np.cos(angle), 2.0 * (-(theta.dual / n) * np.sin(angle))
     if kind == KIND_LAPLACIAN:
         std, dual = 2.0 - std, -dual
-    return Spectrum(kind, _merge_degenerate_and_sort(std, dual))
+    return Spectrum(kind, *_merge_degenerate_and_sort(std, dual))
 
 
 def _merge_degenerate_and_sort(std, dual):
-    """The (std, dual) arrays as dual numbers sorted descending, ignoring the
-    last-bit noise in the standard parts that would otherwise order the
-    degenerate pairs of angles theta and -theta.  After a stable sort on
-    std, value v joins the group of the value before it when the group's
-    first member a has a - v <= 1e-12 max(1, |a|); a group takes the mean
-    std of its members, and its duals sort stably descending."""
+    """The (std, dual) arrays sorted descending, ignoring the last-bit noise
+    in the standard parts that would otherwise order the degenerate pairs of
+    angles theta and -theta.  After a stable sort on std, value v joins the
+    group of the value before it when the group's first member a has
+    a - v <= 1e-12 max(1, |a|); a group takes the mean std of its members,
+    and its duals sort stably descending."""
     order = np.argsort(-std, kind="stable")
     std, dual, n = std[order], dual[order], len(std)
     reach = 1e-12 * np.maximum(1.0, np.abs(std))
@@ -186,7 +197,7 @@ def _merge_degenerate_and_sort(std, dual):
     dual = dual[np.lexsort((-dual, anchor))]
     # bincount adds each group's members in order, from 0.0, as sum() does
     std = np.bincount(anchor, weights=std)[anchor] / np.bincount(anchor)[anchor]
-    return tuple(map(DualNumber, std.tolist(), dual.tolist()))
+    return std, dual
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +239,10 @@ def check_interlacing(phi: GainGraph, subset, kind: str = KIND_ADJACENCY) -> Int
     if not subset:
         raise BadParameterError("subset must be nonempty")
     matrix = gain_matrix(phi, kind)
-    lam = linalg._eigensystem(matrix, with_vectors=False)[0]
+    lam = Spectrum(kind, *linalg._eigensystem(matrix, with_vectors=False)).values
     # rebinding frees the full matrix before the second solve
     matrix = linalg.principal_submatrix(matrix, subset)
-    mu = linalg._eigensystem(matrix, with_vectors=False)[0]
+    mu = Spectrum(kind, *linalg._eigensystem(matrix, with_vectors=False)).values
     n, k = len(lam), len(mu)
     upper = tuple(dual_geq(lam[i], mu[i], _INTERLACING_SLACK) for i in range(k))
     lower = tuple(dual_geq(mu[i], lam[n - k + i], _INTERLACING_SLACK) for i in range(k))

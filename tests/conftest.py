@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dualgain import DualScalar, GainGraph, UnderlyingGraph
+from dualgain import DualNumber, DualScalar, GainGraph, UnderlyingGraph
 
 S2 = math.sqrt(2.0)
 
@@ -42,15 +42,26 @@ def dual_spectrum_triangle():
     )
 
 
-@pytest.fixture
-def scalar_count(monkeypatch):
-    """A list that grows by one entry at every DualScalar construction."""
+def _construction_count(monkeypatch, cls):
+    """A list that grows by one entry at every construction of `cls`."""
     built = []
-    original = DualScalar.__init__
+    original = cls.__init__
 
     def counting(self, *args, **kwargs):
         built.append(1)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(DualScalar, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def scalar_count(monkeypatch):
+    """A list that grows by one entry at every DualScalar construction."""
+    return _construction_count(monkeypatch, DualScalar)
+
+
+@pytest.fixture
+def dual_number_count(monkeypatch):
+    """A list that grows by one entry at every DualNumber construction."""
+    return _construction_count(monkeypatch, DualNumber)

@@ -11,6 +11,7 @@ import pytest
 
 import dualgain._rings as rings
 import dualgain.cli as cli_module
+import dualgain.sampling as sampling
 from dualgain import (SizeCapExceededError, check_interlacing, cycle_spectrum_closed_form,
                       parse_dual_scalar, path_spectrum_closed_form, serialize, spectrum)
 from dualgain.cli import run
@@ -214,6 +215,26 @@ class TestGenerateConvert:
         assert run(["convert", triangle_file]) == 0
         out = capsys.readouterr().out
         assert out == open(triangle_file).read()
+
+    def test_refused_random_graph_draws_no_gain(self, monkeypatch, capsys):
+        # with p = 1 the n = 100 graph has 4,950 edges; physical memory one
+        # byte short of their documents admits the dense and vertex guards
+        # and refuses the edges, which must happen before a gain is drawn
+        n, m = 100, 4950
+        monkeypatch.setattr(rings, "_physical_memory", lambda: rings._EDGE_BYTES * m - 1)
+        drawn = []
+
+        def refuse(*args):
+            drawn.append(args)
+            raise AssertionError("a gain was drawn")
+
+        monkeypatch.setattr(sampling, "_random_unit_gains", refuse)
+        for ring in ("real", "complex", "quaternion"):
+            assert run(["generate", "random", "--n", str(n), "--p", "1", "--ring", ring]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith(f"error: a graph file of m={m} edges")
+        assert drawn == []
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak resident size from /proc/self/status")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,16 +8,19 @@ from dualgain import (
     BadParameterError,
     BadRingError,
     DualScalar,
+    GainGraph,
     GraphSyntaxError,
     NotUnitGainError,
+    Quaternion,
     RINGS,
+    UnderlyingGraph,
     generate,
     parse,
     serialize,
 )
 from dualgain import graph_io
 from dualgain.graph_io import cycle_graph, load, path_graph, random_graph, save
-from dualgain.sampling import random_connected_graph, random_gain_graph
+from dualgain.sampling import random_connected_graph, random_gain_graph, random_unit_scalar
 
 
 def graphs_equal(a, b):
@@ -162,3 +166,55 @@ class TestGenerate:
             generate("random", n=4, p=1.5, seed=0)
         with pytest.raises(BadParameterError):
             generate("moebius", n=4)
+
+
+def oracle_unit_scalar(rng, ring):
+    """One random unit gain by the scalar formula: a sign; e^(i theta_s) with
+    dual part i theta_d e^(i theta_s); a unit quaternion with a raw dual part
+    projected against it."""
+    if ring == "real":
+        return DualScalar.real(1.0 if rng.random() < 0.5 else -1.0, 0.0)
+    if ring == "complex":
+        theta_s = rng.uniform(-math.pi, math.pi)
+        theta_d = rng.normal()
+        ps = complex(math.cos(theta_s), math.sin(theta_s))
+        return DualScalar.complex(ps, 1j * theta_d * ps)
+    qs = Quaternion.from_components(rng.normal(size=4))
+    qs = qs * (1.0 / abs(qs))
+    raw = Quaternion.from_components(rng.normal(size=4))
+    return DualScalar.quaternion(qs, raw - qs * (qs.conjugate() * raw).w)
+
+
+def oracle_random_graph(n, p, seed, ring):
+    """G(n, p) drawn one vertex pair and then one edge gain at a time."""
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    gains = {e: oracle_unit_scalar(rng, ring) for e in edges}
+    return GainGraph(UnderlyingGraph(n, edges), ring, gains)
+
+
+class TestRandomDraws:
+    """random_graph draws its pair mask and its gains as arrays; real and
+    quaternion graphs keep the numbers of the one-at-a-time draws."""
+
+    @pytest.mark.parametrize("ring", ["real", "quaternion"])
+    def test_array_draws_equal_the_per_pair_loop(self, ring):
+        for seed in range(10):
+            for n in (1, 2, 3, 7, 20, 40):
+                for p in (0.0, 0.3, 0.5, 0.9, 1.0):
+                    assert (serialize(random_graph(n, p, seed, ring))
+                            == serialize(oracle_random_graph(n, p, seed, ring))), (seed, n, p)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_one_draw_is_the_scalar_formula(self, ring):
+        for seed in range(500):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                got, want = random_unit_scalar(rng, ring), oracle_unit_scalar(ref, ring)
+                assert repr(got.components()) == repr(want.components()), seed
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_builds_no_scalar_per_edge(self, ring, scalar_count):
+        assert random_graph(60, 0.5, 0, ring).graph.m > 0
+        assert len(scalar_count) == 0

@@ -27,6 +27,7 @@ from dualgain import (
     cycle_graph,
     cycle_spectrum_closed_form,
     gain_matrix,
+    hermitian_eigendecomposition,
     laplacian_matrix,
     parse,
     path_graph,
@@ -235,6 +236,11 @@ def bits(values):
     return repr([(v.std, v.dual) for v in values])
 
 
+def array_bits(std, dual):
+    """bits() of the spectrum held as two float arrays."""
+    return repr(list(zip(std.tolist(), dual.tolist())))
+
+
 def _unit(angle, dual_angle):
     """The unit dual complex number e^(i (angle + dual_angle eps))."""
     s = complex(math.cos(angle), math.sin(angle))
@@ -304,13 +310,13 @@ class TestClosedFormOracle:
             dual = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], n)
             got = spectra_module._merge_degenerate_and_sort(std, dual)
             want = oracle_merge(list(map(DualNumber, std.tolist(), dual.tolist())))
-            assert bits(got) == bits(want), (std.tolist(), dual.tolist())
+            assert array_bits(*got) == bits(want), (std.tolist(), dual.tolist())
 
     def test_merge_groups_are_anchored_not_chained(self):
         # each neighbour is within 1e-12 of the next, but the third is not
         # within 1e-12 of the first: two groups, not one
         std = np.array([1.0, 1.0 - 0.8e-12, 1.0 - 1.6e-12])
-        got = [v.std for v in spectra_module._merge_degenerate_and_sort(std, np.zeros(3))]
+        got = spectra_module._merge_degenerate_and_sort(std, np.zeros(3))[0].tolist()
         assert got[0] == got[1] != got[2]
         assert got[2] == std[2]
 
@@ -718,3 +724,54 @@ class TestRadiusReportRoute:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestArraySpectrum:
+    """A spectrum holds two read-only float arrays; dual numbers are built
+    only when a caller reads `values`."""
+
+    @staticmethod
+    def spectra(ring):
+        rng = np.random.default_rng(36)
+        phi = random_gain_graph(rng, random_connected_graph(rng, 12, 8), ring)
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            yield spectrum(phi, kind, with_vectors=False)
+            yield spectrum(phi, kind)
+            yield path_spectrum_closed_form(9, kind)
+            yield cycle_spectrum_closed_form(8, random_unit_scalar(rng, ring), kind)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("kind", [KIND_ADJACENCY, KIND_LAPLACIAN])
+    def test_values_only_spectra_build_no_dual_number(self, ring, kind, dual_number_count):
+        rng = np.random.default_rng(37)
+        phi = random_gain_graph(rng, random_connected_graph(rng, 30, 40), ring)
+        gain = random_unit_scalar(rng, ring)
+        for spec in (spectrum(phi, kind, with_vectors=False),
+                     spectrum(GainGraph(UnderlyingGraph(0), ring, {}), kind, with_vectors=False),
+                     path_spectrum_closed_form(1000, kind),
+                     cycle_spectrum_closed_form(1000, gain, kind)):
+            spec.to_dict()
+        assert len(dual_number_count) == 0
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_parts_refuse_writes_and_values_match_them(self, ring):
+        for spec in self.spectra(ring):
+            for part in (spec.std, spec.dual):
+                assert part.dtype == np.float64 and part.shape == (len(spec),)
+                with pytest.raises(ValueError):
+                    part[0] = 1.0
+            assert bits(spec.values) == array_bits(spec.std, spec.dual)
+            assert spec.values is spec.values
+            assert repr(spec.to_dict()) == repr({"kind": spec.kind, "values": [
+                {"std": v.std, "dual": v.dual} for v in spec.values]})
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_vectors_follow_the_values(self, ring):
+        rng = np.random.default_rng(38)
+        phi = random_gain_graph(rng, random_connected_graph(rng, 10, 6), ring)
+        spec = spectrum(phi)
+        pairs = hermitian_eigendecomposition(adjacency_matrix(phi))
+        assert bits(spec.values) == bits([p.value for p in pairs])
+        for x, pair in zip(spec.vectors, pairs):
+            assert x.s.tobytes() == pair.vector.s.tobytes()
+            assert x.d.tobytes() == pair.vector.d.tobytes()

@@ -6,9 +6,10 @@ for byte.
 Each checkout runs the same cases through `dualgain.cli.run` in its own
 fresh interpreter, with its own `src/` on the path: all 11 subcommands,
 table and JSON, to stdout and to `--out`, on small graphs of every ring, an
-n = 0 graph, JSON payloads longer than one write chunk, closed-form cycles
-whose degenerate pairs the merge groups, and a rigged failing `check` suite
-with and without a counterexample.  Stdout, stderr, the
+n = 0 graph, random real and quaternion graphs on 60 vertices, JSON payloads
+longer than one write chunk, closed-form cycles whose degenerate pairs the
+merge groups, and a rigged failing `check` suite with and without a
+counterexample.  Stdout, stderr, the
 `--out` file and the exit status of every case must agree.  Exits 0 when
 all cases agree and 1 otherwise, naming each differing case.
 """
@@ -33,6 +34,8 @@ GENERATED = {
     "q7": ["generate", "random", "--n", "7", "--ring", "quaternion", "--seed", "3"],
     "r6": ["generate", "random", "--n", "6", "--ring", "real", "--seed", "1"],
     "k4": ["generate", "complete", "--n", "4", "--ring", "real"],
+    "r60": ["generate", "random", "--n", "60", "--p", "0.3", "--ring", "real"],
+    "q60": ["generate", "random", "--n", "60", "--p", "0.3", "--ring", "quaternion"],
 }
 LITERAL = {
     "empty": {"format": "dual-gain-graph", "version": 1, "ring": "complex", "n": 0,
@@ -63,6 +66,10 @@ def cases():
                                                    "--matrix", "laplacian", *f]),
                     (f"charpoly-{g}-{fmt}", ["charpoly", f"{{{g}}}", *f]),
                     (f"mdet-{g}-{fmt}", ["mdet", f"{{{g}}}", *f])]
+        for g in ("r60", "q60"):
+            out += [(f"spectrum-{g}-{fmt}", ["spectrum", f"{{{g}}}", *f]),
+                    (f"radius-{g}-{fmt}", ["radius", f"{{{g}}}", *f]),
+                    (f"interlace-{g}-{fmt}", ["interlace", f"{{{g}}}", *f])]
         out += [
             (f"cycle-complex-{fmt}", ["cycle", "--n", "7", "--gain", "(0+1i)+(0.5+0i)*eps", *f]),
             (f"cycle-real-lap-{fmt}", ["cycle", "--n", "6", "--ring", "real", "--gain",
