@@ -31,7 +31,8 @@ from .errors import (
     ShapeMismatchError,
     SizeCapExceededError,
 )
-from .scalars import DEFAULT_TOL, DualNumber, DualScalar, RING_COMPLEX, RING_QUATERNION, _re_part
+from .scalars import (DEFAULT_TOL, DualNumber, DualScalar, RING_COMPLEX, RING_QUATERNION,
+                      RING_REAL, _re_part)
 
 
 class _DualArray:
@@ -283,9 +284,14 @@ _MOORE_SIZE_CAP = 9         # the permutation sum takes n! terms
 _MOORE_TAIL = 7             # Moore words come in chunks of at most 7! = 5,040 rows
 
 
-def _eigensystem(a: DualMatrix, *, with_vectors: bool):
+def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None):
     """The read-only std and dual arrays of the eigenvalues, sorted descending
     under the dual order, and their gauged eigenvectors (None without vectors).
+
+    With `potentials` theta, `a` is a matrix switched to theta A theta* whose
+    standard part is real to rounding (spectra._real_form): its real part
+    takes one real symmetric solve, V is lifted into the ring, and the
+    eigenvectors are mapped back to x = conj(theta) x' before the gauge.
 
     After the Hermitian solve A_s V = V diag(w), every step works on the
     one Gram matrix G = V* A_d V: singleton clusters read their dual parts
@@ -302,7 +308,12 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
     if n == 0:
         return _freeze(np.zeros(0)), _freeze(np.zeros(0)), (() if with_vectors else None)
 
-    w, v = rings.eigh(ring, rings.symmetrize(ring, a.s))
+    if potentials is None:
+        w, v = rings.eigh(ring, rings.symmetrize(ring, a.s))
+    else:
+        # assembled from the edges, the real part is symmetric to the bit
+        w, v = np.linalg.eigh((a.s[..., 0] if ring == RING_QUATERNION else a.s).real)
+        v = rings.widen(RING_REAL, v, ring)
     g = rings.matmul(ring, rings.conj_transpose(ring, v),
                      rings.matmul(ring, rings.symmetrize(ring, a.d), v))
     lam_d = np.diagonal(g[..., 0] if ring == RING_QUATERNION else g).real.copy()
@@ -327,6 +338,9 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool):
 
     g /= delta[..., None] if ring == RING_QUATERNION else delta
     x_d = rings.matmul(ring, v, g)
+    if potentials is not None:
+        back = rings.conj(ring, potentials)[:, None]
+        v, x_d = rings.mul(ring, back, v), rings.mul(ring, back, x_d)
     _gauge(ring, v, x_d)
     v, x_d = _freeze(v), _freeze(x_d)
     return std, dual, tuple(DualVector._adopt(ring, v[:, i], x_d[:, i]) for i in order)

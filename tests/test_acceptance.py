@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 
+from dualgain import _rings as rings
+from dualgain import spectra as spectra_module
 from dualgain import (
     DualNumber,
     DualScalar,
@@ -27,6 +29,7 @@ from dualgain import (
     cycle_graph,
     cycle_spectrum_closed_form,
     dual_geq,
+    gain_matrix,
     mdet_via_subgraphs,
     moore_determinant,
     path_graph,
@@ -252,6 +255,101 @@ def test_criterion_6_standard_part_rule():
     assert paper_fails > 0
     print(f"criterion 6 PASS: {reports} dual-twisted reports consistent, "
           f"the paper's balance rule fails on {paper_fails}")
+
+
+def dual_twist(rng, phi):
+    """phi with every dual gain d moved to d + s p, p random and purely
+    imaginary: the gains stay units and the standard part stays as it is,
+    while the dual part of a balanced phi becomes generically unbalanced."""
+    m = phi.graph.m
+    if phi.ring == "complex":
+        p = 1j * rng.normal(size=m)
+    else:
+        x, y, z = rng.normal(size=(3, m))
+        p = np.stack((1j * x, y + 1j * z), axis=-1)
+    return GainGraph(phi.graph, phi.ring,
+                     (phi.std, phi.dual + rings.mul(phi.ring, phi.std, p)))
+
+
+def standard_part_families(rng, ring):
+    """(family, graph) pairs whose standard part switches to real gains, and
+    last a disconnected union of a standard-balanced and a
+    standard-unbalanced component, which does not."""
+    cycle_gain = (DualScalar.complex(1, 0.5j) if ring == "complex" else
+                  DualScalar.quaternion(Quaternion(1), Quaternion(0, 0.3, 0.5, 0.2)))
+    for n in (7, 12, 20):
+        graph = random_connected_graph(rng, n, int(rng.integers(n // 2, 2 * n)))
+        yield "twisted balanced", dual_twist(rng, random_balanced_gain_graph(rng, graph, ring))
+        yield "antibalanced", dual_twisted(rng, graph, ring, -1.0)
+        yield "balanced complete", random_balanced_gain_graph(
+            rng, complete_graph(n, ring).graph, ring)
+        yield "twisted cycle", cycle_graph(n, cycle_gain).switch(random_switching(rng, ring, n))
+        yield "tree", random_gain_graph(rng, random_connected_graph(rng, n, 0), ring)
+    left = dual_twist(rng, random_balanced_gain_graph(rng, random_connected_graph(rng, 6, 4),
+                                                      ring))
+    right = random_unbalanced_connected(rng, 8, ring)
+    edges = np.concatenate((left.graph.edge_array, right.graph.edge_array + 6))
+    yield "union", GainGraph(UnderlyingGraph(14, edges), ring,
+                             tuple(np.concatenate(parts) for parts in
+                                   ((left.std, right.std), (left.dual, right.dual))))
+
+
+def eigen_residuals(a, spec):
+    """Max |A x - x lambda| over the eigenpairs of `spec`, standard and dual
+    parts."""
+    ring = a.ring
+    xs, xd = (np.stack([getattr(x, part) for x in spec.vectors], axis=1) for part in "sd")
+    ls, ld = ((v[:, None] if ring == "quaternion" else v) for v in (spec.std, spec.dual))
+    rs = rings.matmul(ring, a.s, xs) - xs * ls
+    rd = rings.matmul(ring, a.s, xd) + rings.matmul(ring, a.d, xs) - xd * ls - xs * ld
+    return rings.max_abs(ring, rs), rings.max_abs(ring, rd)
+
+
+def test_criterion_6_standard_part_real_form(monkeypatch):
+    """Complex and quaternion graphs whose standard part switches to real
+    gains, solved in real arithmetic (floor at 1) against the general route
+    (floor above n): values within 1e-12 max(1, rho(G)), residual maxima at
+    most 10x the general route's or 1e-14 max(1, rho(G)), vectors equal
+    where the eigenvalue is simple, and equal interlacing verdicts."""
+    rng = np.random.default_rng(626)
+
+    def both_routes(phi, solve):
+        monkeypatch.setattr(spectra_module, "_REAL_FORM_FLOOR", 1)
+        real = solve()
+        monkeypatch.setattr(spectra_module, "_REAL_FORM_FLOOR", phi.n + 1)
+        return real, solve()
+
+    cases, worst_value, worst_vector = 0, 0.0, 0.0
+    for ring in ("complex", "quaternion"):
+        for family, phi in standard_part_families(rng, ring):
+            for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+                monkeypatch.setattr(spectra_module, "_REAL_FORM_FLOOR", 1)
+                theta = spectra_module._real_form(phi, kind)[1]
+                assert (theta is None) == (family == "union"), (ring, family, kind)
+                scale = max(1.0, underlying_radius(phi, kind))
+                real, general = both_routes(phi, lambda: spectrum(phi, kind))
+                value = max(np.abs(real.std - general.std).max(),
+                            np.abs(real.dual - general.dual).max())
+                assert value <= 1e-12 * scale, (ring, family, kind, value)
+                a = gain_matrix(phi, kind)
+                for r, g in zip(eigen_residuals(a, real), eigen_residuals(a, general)):
+                    assert r <= max(10 * g, 1e-14 * scale), (ring, family, kind, r, g)
+                for i, (x, y) in enumerate(zip(real.vectors, general.vectors)):
+                    near = ((np.abs(general.std - general.std[i]) <= 1e-6)
+                            & (np.abs(general.dual - general.dual[i]) <= 1e-6))
+                    if near.sum() == 1:
+                        gap = max(rings.max_abs(ring, x.s - y.s), rings.max_abs(ring, x.d - y.d))
+                        worst_vector = max(worst_vector, gap)
+                        assert gap <= 1e-8, (ring, family, kind, i, gap)
+                subset = sorted(rng.choice(phi.n, size=int(rng.integers(1, phi.n)),
+                                           replace=False).tolist())
+                reports = both_routes(phi, lambda: check_interlacing(phi, subset, kind))
+                assert len({(r.upper_ok, r.lower_ok, r.holds) for r in reports}) == 1
+                assert reports[0].holds
+                worst_value = max(worst_value, value / scale)
+                cases += theta is not None
+    print(f"criterion 6 PASS: {cases} real-form spectra, values within "
+          f"{worst_value:.1e} max(1, rho(G)), simple vectors within {worst_vector:.1e}")
 
 
 def test_criterion_7_determinant_and_coefficients():

@@ -775,3 +775,74 @@ class TestArraySpectrum:
         for x, pair in zip(spec.vectors, pairs):
             assert x.s.tobytes() == pair.vector.s.tobytes()
             assert x.d.tobytes() == pair.vector.d.tobytes()
+
+
+class TestRealFormRoute:
+    """The dtype of the standard solve: float64 where a complex or quaternion
+    graph at or above the floor switches to real standard gains, complex
+    everywhere else."""
+
+    @staticmethod
+    def eigh_dtypes(monkeypatch, call):
+        """The dtypes np.linalg.eigh receives while `call` runs."""
+        seen, eigh = [], np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        call()
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        return seen
+
+    @staticmethod
+    def off_balance(rng, ring, angle, tol):
+        """A balanced graph whose standard gains are each turned by up to
+        `angle` radians, kept under the unit tolerance `tol`."""
+        phi = random_balanced_gain_graph(rng, random_connected_graph(rng, 70, 100), ring)
+        turn = np.exp(1j * angle * rng.uniform(-1, 1, phi.graph.m))
+        if ring == "quaternion":
+            turn = np.stack((turn, np.zeros_like(turn)), axis=-1)
+        return GainGraph(phi.graph, ring, (rings.mul(ring, phi.std, turn), phi.dual), tol)
+
+    @pytest.mark.parametrize("ring", ["complex", "quaternion"])
+    @pytest.mark.parametrize("kind", [KIND_ADJACENCY, KIND_LAPLACIAN])
+    def test_real_solve_above_the_floor(self, ring, kind, monkeypatch):
+        rng = np.random.default_rng(40)
+        n = spectra_module._REAL_FORM_FLOOR
+        balanced = random_balanced_gain_graph(rng, random_connected_graph(rng, n, n), ring)
+        for phi in (balanced, balanced.negate()):     # balanced, then antibalanced
+            for with_vectors in (False, True):
+                seen = self.eigh_dtypes(
+                    monkeypatch, lambda: spectrum(phi, kind, with_vectors=with_vectors))
+                assert seen[0] == np.float64 and seen.count(np.float64) == 1
+            seen = self.eigh_dtypes(monkeypatch, lambda: check_interlacing(phi, range(9), kind))
+            assert seen.count(np.float64) == 2
+
+    @pytest.mark.parametrize("ring", ["complex", "quaternion"])
+    def test_complex_solve_elsewhere(self, ring, monkeypatch):
+        rng = np.random.default_rng(41)
+        unbalanced = random_gain_graph(rng, random_connected_graph(rng, 70, 100), ring)
+        small = random_balanced_gain_graph(rng, random_connected_graph(rng, 20, 20), ring)
+        loose = self.off_balance(rng, ring, 1e-6, 1e-3)
+        assert loose.is_balanced()
+        big = random_balanced_gain_graph(rng, random_connected_graph(rng, 70, 100), ring)
+        calls = [lambda phi=phi, kind=kind: spectrum(phi, kind)
+                 for phi in (unbalanced, small, loose) for kind in (KIND_ADJACENCY,
+                                                                   KIND_LAPLACIAN)]
+        calls.append(lambda: check_interlacing(loose, range(30)))
+        calls.append(lambda: hermitian_eigendecomposition(adjacency_matrix(big)))
+        for call in calls:
+            seen = self.eigh_dtypes(monkeypatch, call)
+            assert seen and np.float64 not in seen
+
+    @pytest.mark.parametrize("ring", ["complex", "quaternion"])
+    def test_loose_balance_keeps_the_general_spectrum(self, ring, monkeypatch):
+        # balanced within tol = 1e-3 only: the spectrum is the general
+        # route's to the bit, not moved by up to that tolerance
+        phi = self.off_balance(np.random.default_rng(42), ring, 1e-6, 1e-3)
+        got = spectrum(phi)
+        monkeypatch.setattr(spectra_module, "_REAL_FORM_FLOOR", phi.n + 1)
+        want = spectrum(phi)
+        assert array_bits(got.std, got.dual) == array_bits(want.std, want.dual)
