@@ -171,7 +171,8 @@ def conj(ring, arr):
 
 
 def conj_transpose(ring, arr):
-    return conj(ring, arr).swapaxes(0, 1)
+    """The conjugate transpose of a matrix or of each matrix in a stack."""
+    return conj(ring, arr).swapaxes(*((-3, -2) if ring == RING_QUATERNION else (-2, -1)))
 
 
 def matmul(ring, x, y):
@@ -284,7 +285,7 @@ _CLUSTER_GAP = 1e-8     # relative gap within which standard eigenvalues share a
 
 def eigh(ring, arr):
     """Eigenvalues (ascending, real) and orthonormal eigenvectors of a
-    Hermitian base-ring matrix.  Quaternion matrices are solved through the
+    Hermitian base-ring matrix or stack.  Quaternions are solved through the
     complex-adjoint embedding, whose spectrum repeats every eigenvalue
     twice: each eigenvalue is the mean of its two copies, and each cluster
     of _clusters gets one quaternion basis of its embedded eigenvectors."""
@@ -294,27 +295,41 @@ def eigh(ring, arr):
     return _eigh_quaternion(arr)
 
 
+def eigvalsh(ring, arr):
+    """The eigenvalues of eigh alone, to rounding (not bit for bit)."""
+    if ring != RING_QUATERNION:
+        return np.linalg.eigvalsh(arr)
+    w = np.linalg.eigvalsh(symmetrize(RING_COMPLEX, embed_quaternion(arr)))
+    return (w[0::2] + w[1::2]) / 2
+
+
 def _eigh_quaternion(arr):
-    n = arr.shape[0]
+    n = arr.shape[-2]
     if n == 0:
-        return np.zeros(0), zeros(RING_QUATERNION, (0, 0))
+        return np.zeros(arr.shape[:-2]), zeros(RING_QUATERNION, arr.shape[:-1])
     w, u = np.linalg.eigh(symmetrize(RING_COMPLEX, embed_quaternion(arr)))
     # the embedding repeats every eigenvalue exactly, so in ascending order
     # its two copies are adjacent
-    values = (w[0::2] + w[1::2]) / 2
-    emb = u[:, 0::2].copy()
-    for c0, c1 in _clusters(values):
-        if c1 - c0 > 1:
-            emb[:, c0:c1] = _quaternion_basis(u[:, 2 * c0:2 * c1], c1 - c0)
-    return values, np.stack((emb[:n], -emb[n:].conj()), axis=-1)
+    values = (w[..., 0::2] + w[..., 1::2]) / 2
+    emb = u[..., 0::2].copy()
+    # the stack members that hold an inner cluster, found for all at once
+    for i in map(tuple, np.argwhere(~_splits(values).all(axis=-1))):
+        for c0, c1 in _clusters(values[i]):
+            if c1 - c0 > 1:
+                emb[i][:, c0:c1] = _quaternion_basis(u[i][:, 2 * c0:2 * c1], c1 - c0)
+    return values, np.stack((emb[..., :n, :], -emb[..., n:, :].conj()), axis=-1)
+
+
+def _splits(w):
+    """Where ascending eigenvalues (last axis) start a new cluster: neighbour
+    gaps above _CLUSTER_GAP relative to the larger magnitude (at least 1)."""
+    caps = _CLUSTER_GAP * np.maximum(1.0, np.maximum(np.abs(w[..., 1:]), np.abs(w[..., :-1])))
+    return np.diff(w) > caps
 
 
 def _clusters(w):
-    """(start, stop) index ranges of ascending eigenvalues whose neighbour
-    gaps stay within _CLUSTER_GAP relative to the larger magnitude (at least
-    1)."""
-    caps = _CLUSTER_GAP * np.maximum(1.0, np.maximum(np.abs(w[1:]), np.abs(w[:-1])))
-    bounds = [0, *(np.flatnonzero(np.diff(w) > caps) + 1).tolist(), len(w)]
+    """(start, stop) index ranges of the clusters of ascending eigenvalues."""
+    bounds = [0, *(np.flatnonzero(_splits(w)) + 1).tolist(), len(w)]
     return zip(bounds[:-1], bounds[1:])
 
 

@@ -263,11 +263,12 @@ def hermitian_eigendecomposition(a: DualMatrix) -> list[EigenPair]:
 
     Standard parts are the eigenvalues of A_s.  Standard eigenvalues whose
     relative gap is at most rings._CLUSTER_GAP are treated as one cluster:
-    their dual parts are the eigenvalues of the supplement matrix W* A_d W,
-    and the eigenvector block W is rotated into the basis that diagonalizes
-    it.  For quaternions W is one quaternion-orthonormal basis per cluster,
-    built by rings.eigh under the same rule, so distinct members of a
-    cluster share a supplement as they do in the other rings.
+    their dual parts are the eigenvalues of the supplement W* A_d W, one
+    stacked solve per cluster size, and W is rotated into the basis that
+    diagonalizes it (a supplement scalar to rounding keeps W and its
+    diagonal).  For quaternions W is one quaternion-orthonormal basis per
+    cluster, built by rings.eigh under the same rule, so distinct members
+    of a cluster share a supplement as they do in the other rings.
     Eigenvector dual parts are the first-order sums over the out-of-cluster
     directions.  Output is deterministic: each eigenvector is gauged so its
     first appreciable standard entry is positive real.
@@ -290,17 +291,22 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None):
 
     With `potentials` theta, `a` is a matrix switched to theta A theta* whose
     standard part is real to rounding (spectra._real_form): its real part
-    takes one real symmetric solve, V is lifted into the ring, and the
-    eigenvectors are mapped back to x = conj(theta) x' before the gauge.
+    takes one real symmetric solve, G below is one real product per float
+    component of sym(A_d), and the eigenvectors are lifted into the ring and
+    mapped back to x = conj(theta) x' before the gauge.
 
     After the Hermitian solve A_s V = V diag(w), every step works on the
-    one Gram matrix G = V* A_d V: singleton clusters read their dual parts
-    off Re diag(G), and each larger cluster solves its supplement, the
-    G[cl, cl] block, then rotates its columns of V and refreshes G.  Callers
-    that need values only stop there.  The eigenvector dual parts are one
-    product X_d = V C with C_ji = G_ji / (w_i - w_j) off the clusters and 0
-    on them, built in G's buffer; the gauge scales all columns at once.  The
-    eigenvectors are read-only column views of the gauged V and X_d.
+    Gram matrix G = V* sym(A_d) V, and the dual parts are Re diag(G).  A
+    cluster of size k keeps them, with W = I, when its supplement S =
+    G[cl, cl] is within k eps max(1, max|G|) of mu I, mu the mean of its
+    diagonal: by Weyl's bound they are then within k times that of the
+    eigenvalues of S.  The other supplements take one stacked rings.eigh
+    per cluster size, and with vectors their columns of V and G and rows of
+    G are rotated by stacked products.  X_d = V C with C_ji = G_ji / (w_i -
+    w_j) off the clusters and 0 on them, in G's buffer.  A zero sym(A_d)
+    forms no G: the dual parts are 0.0, X_d is zero, and without vectors
+    the standard solve is rings.eigvalsh.  The eigenvectors are read-only
+    column views of the gauged V and X_d.
     """
     _check_hermitian(a)
     ring = a.ring
@@ -309,35 +315,59 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None):
         return _freeze(np.zeros(0)), _freeze(np.zeros(0)), (() if with_vectors else None)
 
     if potentials is None:
-        w, v = rings.eigh(ring, rings.symmetrize(ring, a.s))
+        solve_ring, s = ring, rings.symmetrize(ring, a.s)
     else:
         # assembled from the edges, the real part is symmetric to the bit
-        w, v = np.linalg.eigh((a.s[..., 0] if ring == RING_QUATERNION else a.s).real)
-        v = rings.widen(RING_REAL, v, ring)
-    g = rings.matmul(ring, rings.conj_transpose(ring, v),
-                     rings.matmul(ring, rings.symmetrize(ring, a.d), v))
-    lam_d = np.diagonal(g[..., 0] if ring == RING_QUATERNION else g).real.copy()
+        solve_ring, s = RING_REAL, (a.s[..., 0] if ring == RING_QUATERNION else a.s).real
+    d = rings.symmetrize(ring, a.d)
+    has_dual = bool(d.any())
+    lam_d = np.zeros(n)
+    if has_dual or with_vectors:
+        w, v = rings.eigh(solve_ring, s)
+    else:
+        w = rings.eigvalsh(solve_ring, s)
+    if has_dual:
+        if potentials is None:
+            g = rings.matmul(ring, rings.conj_transpose(ring, v), rings.matmul(ring, d, v))
+        else:
+            # V is real: one real product per float component of sym(A_d)
+            comps = np.ascontiguousarray(np.moveaxis(d.view(np.float64).reshape(n, n, -1), -1, 0))
+            g = np.moveaxis(v.T @ (comps @ v), 0, -1).copy().view(np.complex128).reshape(d.shape)
+        lam_d = np.diagonal(g[..., 0] if ring == RING_QUATERNION else g).real.copy()
     if with_vectors:
-        delta = w[None, :] - w[:, None]     # delta[j, i] = w_i - w_j
-        np.fill_diagonal(delta, np.inf)
-    for c0, c1 in rings._clusters(w):
-        if c1 - c0 == 1:
-            continue
-        cl = slice(c0, c1)
-        dvals, z = rings.eigh(ring, rings.symmetrize(ring, g[cl, cl]))
-        lam_d[cl] = dvals
-        if with_vectors:
-            v[:, cl] = rings.matmul(ring, v[:, cl], z)
-            g[:, cl] = rings.matmul(ring, g[:, cl], z)
-            g[cl, :] = rings.matmul(ring, rings.conj_transpose(ring, z), g[cl, :])
-            delta[cl, cl] = np.inf
+        v = rings.widen(solve_ring, v, ring)
+    splits = rings._splits(w)
+    if has_dual and not splits.all():
+        bounds = np.flatnonzero(np.r_[True, splits, True])
+        sizes = np.diff(bounds)
+        tol = np.finfo(np.float64).eps * max(1.0, rings.max_abs(ring, g))
+        for k in np.unique(sizes[sizes > 1]).tolist():
+            cols = bounds[:-1][sizes == k, None] + np.arange(k)
+            blocks = rings.symmetrize(ring, g[cols[:, :, None], cols[:, None, :]])
+            # a supplement within k tol of mu I keeps W = I and its diagonal in lam_d
+            mu = rings.widen(RING_REAL, lam_d[cols].mean(axis=1)[:, None, None] * np.eye(k), ring)
+            solve = rings.entry_abs(ring, blocks - mu).max(axis=(1, 2)) > k * tol
+            if not solve.any():
+                continue
+            cols = cols[solve]
+            lam_d[cols], z = rings.eigh(ring, blocks[solve])
+            if with_vectors:
+                for m in (v, g):        # the columns of V and G, then the rows of G
+                    block = rings.matmul(ring, np.moveaxis(m[:, cols], 1, 0), z)
+                    m[:, cols] = np.moveaxis(block, 0, 1)
+                g[cols] = rings.matmul(ring, rings.conj_transpose(ring, z), g[cols])
     order = np.lexsort((-lam_d, -w))
     std, dual = _freeze(w[order]), _freeze(lam_d[order])
     if not with_vectors:
         return std, dual, None
 
-    g /= delta[..., None] if ring == RING_QUATERNION else delta
-    x_d = rings.matmul(ring, v, g)
+    if has_dual:
+        label = np.concatenate(([0], np.cumsum(splits)))    # cluster of each eigenvalue
+        delta = np.where(label[:, None] == label, np.inf, w - w[:, None])   # w_i - w_j
+        g /= delta[..., None] if ring == RING_QUATERNION else delta
+        x_d = rings.matmul(ring, v, g)
+    else:
+        x_d = rings.zeros(ring, (n, n))
     if potentials is not None:
         back = rings.conj(ring, potentials)[:, None]
         v, x_d = rings.mul(ring, back, v), rings.mul(ring, back, x_d)

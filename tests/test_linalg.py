@@ -559,14 +559,19 @@ def random_unitary(rng, ring, n):
     return rings.eigh(ring, random_hermitian_matrix(rng, ring, n).s)[1]
 
 
+def rotated(ring, q, m):
+    """Q M Q*, symmetrized."""
+    return rings.symmetrize(ring, rings.matmul(
+        ring, q, rings.matmul(ring, m, rings.conj_transpose(ring, q))))
+
+
 def conjugated(ring, q, diag_values):
     """Q diag(values) Q*, symmetrized."""
     n = len(diag_values)
     diag = rings.zeros(ring, (n, n))
     for i, val in enumerate(diag_values):
         diag[(i, i, 0) if ring == "quaternion" else (i, i)] = val
-    return rings.symmetrize(ring, rings.matmul(
-        ring, q, rings.matmul(ring, diag, rings.conj_transpose(ring, q))))
+    return rotated(ring, q, diag)
 
 
 def engineered_matrix(rng, ring, diag_values):
@@ -576,27 +581,105 @@ def engineered_matrix(rng, ring, diag_values):
                       random_hermitian_matrix(rng, ring, len(diag_values)).s)
 
 
+# standard values in clusters of sizes 5, 3, 2, 2, 1 and 1; the two
+# clusters of size 2 share one stacked supplement solve
+MIXED_STD = [4.0] * 5 + [2.0] * 3 + [-1.0] * 2 + [-3.0] * 2 + [0.5, 1.5]
+
+
+def mixed_supplements(rng, ring, q):
+    """A_s = Q diag(MIXED_STD) Q* and A_d = Q M Q*, M random Hermitian except
+    on two cluster blocks: 0.3 I on the -3 block (a scalar supplement beside
+    the random -1 block) and eigenvalues 0.7, 0.7, -0.2, 0.1, 0.3 on the 4
+    block (a supplement with an inner cluster).  With Q = I every product is
+    exact, so the -3 supplement is scalar to the bit."""
+    m = np.array(random_hermitian_matrix(rng, ring, len(MIXED_STD)).s)
+    m[10:12, 10:12] = 0.3 * rings.eye(ring, 2)
+    m[:5, :5] = conjugated(ring, random_unitary(rng, ring, 5), [0.7, 0.7, -0.2, 0.1, 0.3])
+    return DualMatrix(ring, conjugated(ring, q, MIXED_STD), rotated(ring, q, m))
+
+
+def scalar_threshold_pair(rng, ring, factor):
+    """Diagonal A_s with the cluster 1, 1, 1 and a supplement mu I + t E
+    (E symmetric, zero diagonal, max entry 1) whose t is `factor` times the
+    scalar threshold k eps max(1, max|G|) = 3 eps: with diagonal A_s and
+    max|A_d| <= 1 the Gram matrix is A_d permuted, to the bit."""
+    m = 0.05 * np.array(random_hermitian_matrix(rng, ring, 5).s)
+    t = factor * 3 * np.finfo(np.float64).eps
+    m[:3, :3] = rings.widen("real", 0.25 * np.eye(3) + t * (1.0 - np.eye(3)), ring)
+    return DualMatrix(ring, conjugated(ring, rings.eye(ring, 5), [1.0, 1.0, 1.0, 3.0, -2.0]), m)
+
+
 class TestArrayCoreAgainstOracle:
     @pytest.mark.parametrize("ring", RINGS)
-    @pytest.mark.parametrize("case", ["random", "repeated", "identity"])
+    @pytest.mark.parametrize("case", ["random", "repeated", "identity", "mixed",
+                                      "scalar below", "scalar above"])
     def test_matches_per_column_loop(self, ring, case):
         rng = np.random.default_rng(404)
-        for _ in range(3):
+        for trial in range(3):
             if case == "random":
                 a = random_hermitian_matrix(rng, ring, 9)
             elif case == "repeated":
                 a = engineered_matrix(rng, ring, [2.0, 2.0, 2.0, -1.0, -1.0, 0.5, 0.0, 3.0])
-            else:
+            elif case == "identity":
                 a = DualMatrix(ring, rings.eye(ring, 5), random_hermitian_matrix(rng, ring, 5).s)
+            elif case == "mixed":
+                n = len(MIXED_STD)
+                q = rings.eye(ring, n) if trial == 0 else random_unitary(rng, ring, n)
+                a = mixed_supplements(rng, ring, q)
+            else:
+                a = scalar_threshold_pair(rng, ring, 0.9 if case == "scalar below" else 1.1)
             got = hermitian_eigendecomposition(a)
             want = oracle_eigendecomposition(a)
-            for pair, (std, dual, clustered, (vs, vd)) in zip(got, want):
+            std_only, dual_only, _ = _eigensystem(a, with_vectors=False)
+            for i, (pair, (std, dual, clustered, (vs, vd))) in enumerate(zip(got, want)):
                 assert abs(pair.value.std - std) <= 1e-12
                 assert abs(pair.value.dual - dual) <= 1e-12
+                assert abs(std_only[i] - std) <= 1e-12
+                assert abs(dual_only[i] - dual) <= 1e-12
                 if not clustered:
                     assert rings.max_abs(ring, pair.vector.s - vs) <= 1e-10
                     assert rings.max_abs(ring, pair.vector.d - vd) <= 1e-10
             assert_valid_eigensystem(a, got)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_scalar_supplements_take_no_solve(self, ring, monkeypatch):
+        # the stacks rings.eigh receives: the standard solve, then one stack
+        # per cluster size of the supplements that are not scalar
+        rng = np.random.default_rng(408)
+        n = len(MIXED_STD)
+        mixed = mixed_supplements(rng, ring, rings.eye(ring, n))
+        below, above = (scalar_threshold_pair(rng, ring, factor) for factor in (0.9, 1.1))
+        stacks, eigh = [], rings.eigh
+
+        def recording(r, arr):
+            stacks.append(arr.shape[:-1] if r == "quaternion" else arr.shape)
+            return eigh(r, arr)
+
+        monkeypatch.setattr(rings, "eigh", recording)
+        for a, want in ((mixed, [(n, n), (1, 2, 2), (1, 3, 3), (1, 5, 5)]),
+                        (below, [(5, 5)]), (above, [(5, 5), (1, 3, 3)])):
+            # in the mixed matrix the -3 cluster is scalar and takes W = I,
+            # while the other cluster of size 2, -1, is solved
+            for with_vectors in (False, True):
+                _eigensystem(a, with_vectors=with_vectors)
+                assert stacks == want
+                stacks.clear()
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_zero_dual_part_values(self, ring):
+        # no Gram matrix: values only come from eigvalsh, within rounding of
+        # the eigh route, and every dual part is +0.0 on both routes
+        rng = np.random.default_rng(409)
+        for diag_values in ([2.0, 2.0, 2.0, -1.0, -1.0, 0.5, 0.0, 3.0], rng.normal(size=9) * 40):
+            q = random_unitary(rng, ring, len(diag_values))
+            a = DualMatrix(ring, conjugated(ring, q, diag_values))
+            std, dual, _ = _eigensystem(a, with_vectors=False)
+            full_std, full_dual, vectors = _eigensystem(a, with_vectors=True)
+            rho = max(1.0, float(np.abs(full_std).max()))
+            assert np.abs(std - full_std).max() <= 1e-13 * rho
+            zero = np.zeros(len(diag_values)).tobytes()
+            assert dual.tobytes() == full_dual.tobytes() == zero
+            assert all(not x.d.any() for x in vectors)
 
     def test_values_only_route_matches_full_route(self):
         rng = np.random.default_rng(405)

@@ -846,3 +846,51 @@ class TestRealFormRoute:
         monkeypatch.setattr(spectra_module, "_REAL_FORM_FLOOR", phi.n + 1)
         want = spectrum(phi)
         assert array_bits(got.std, got.dual) == array_bits(want.std, want.dual)
+
+
+class TestSupplementRoute:
+    """The dense solves behind a spectrum: one per cluster size for the
+    supplements that are not scalar, none for zero dual parts."""
+
+    @staticmethod
+    def solves(monkeypatch, call):
+        """The names of the np.linalg solvers called while `call` runs."""
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            def recording(a, *args, _solver=getattr(np.linalg, name), _name=name, **kwargs):
+                seen.append(_name)
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        call()
+        monkeypatch.undo()
+        return seen
+
+    @pytest.mark.parametrize("ring", ["complex", "quaternion"])
+    def test_twisted_cycle_solves_its_pairs_in_one_stack(self, ring, monkeypatch):
+        # 99 degenerate standard pairs whose dual parts split: the standard
+        # solve, then one stacked solve of all 99 supplements
+        rng = np.random.default_rng(43)
+        gain = (DualScalar.complex(1, 0.5j) if ring == "complex" else
+                DualScalar.quaternion(Quaternion(1), Quaternion(0, 0.3, 0.5, 0.2)))
+        phi = cycle_graph(200, gain).switch(random_switching(rng, ring, 200))
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            assert self.solves(monkeypatch, lambda: spectrum(phi, kind)) == ["eigh", "eigh"]
+
+    @pytest.mark.parametrize("ring", ["complex", "quaternion"])
+    def test_balanced_complete_supplement_is_scalar(self, ring, monkeypatch):
+        # one standard eigenvalue of multiplicity n - 1 whose supplement is
+        # zero to rounding: the standard solve alone
+        phi = random_balanced_gain_graph(np.random.default_rng(44),
+                                         complete_graph(64, ring).graph, ring)
+        assert phi.dual.any()
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            assert self.solves(monkeypatch, lambda: spectrum(phi, kind)) == ["eigh"]
+
+    def test_real_values_only_take_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        phi = random_gain_graph(rng, random_connected_graph(rng, 70, 100), "real")
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            seen = self.solves(monkeypatch, lambda: spectrum(phi, kind, with_vectors=False))
+            assert seen == ["eigvalsh"]
+            assert self.solves(monkeypatch, lambda: spectrum(phi, kind)) == ["eigh"]

@@ -11,7 +11,10 @@ longer than one write chunk, closed-form cycles whose degenerate pairs the
 merge groups, and a rigged failing `check` suite with and without a
 counterexample.  Stdout, stderr, the
 `--out` file and the exit status of every case must agree.  Exits 0 when
-all cases agree and 1 otherwise, naming each differing case.
+all cases agree and 1 otherwise, naming each differing case.  For a
+differing JSON output it also says whether only numbers differ and, if so,
+in which fields (the key that holds each number, such as `std` or `dual`)
+and by how much at most.
 """
 
 from __future__ import annotations
@@ -151,6 +154,38 @@ def run_side(checkout: Path, work: Path) -> None:
                    timeout=600)
 
 
+def json_summary(mine: Path, theirs: Path) -> str:
+    """For two JSON documents, whether only numbers differ: the fields whose
+    numbers differ and the largest absolute difference with its field.
+    Empty when either side is missing or not JSON."""
+    try:
+        docs = [json.loads(p.read_text(encoding="utf-8")) for p in (mine, theirs)]
+    except (OSError, ValueError):
+        return ""
+    diffs = []
+
+    def same_shape(x, y, field):
+        """Whether x and y agree except in numbers, noting those differences."""
+        if isinstance(x, dict) and isinstance(y, dict):
+            return x.keys() == y.keys() and all(same_shape(x[k], y[k], k) for k in x)
+        if isinstance(x, list) and isinstance(y, list):
+            return len(x) == len(y) and all(same_shape(a, b, field) for a, b in zip(x, y))
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            if x != y:
+                diffs.append((abs(x - y), field))
+            return True
+        return x == y
+
+    if not same_shape(*docs, None):
+        return " (JSON: not only numbers differ)"
+    if not diffs:
+        return " (JSON: equal documents, different text)"
+    largest, field = max(diffs, key=lambda d: d[0])
+    fields = ", ".join(sorted({str(f) for _, f in diffs}))
+    return (f" (JSON: only numbers differ, in {fields}; largest |difference| "
+            f"{largest:.3g} in {field})")
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -170,7 +205,7 @@ def main() -> int:
         differing += sorted(p.name for p in theirs.iterdir()
                             if p.name != "plan.json" and not (mine / p.name).exists())
         for name in differing:
-            print(f"differs: {name}")
+            print(f"differs: {name}{json_summary(mine / name, theirs / name)}")
         print(f"{len(cases())} cases, {len(produced)} outputs compared, "
               f"{len(differing)} differ")
     return 1 if differing else 0
