@@ -285,7 +285,7 @@ _MOORE_SIZE_CAP = 9         # the permutation sum takes n! terms
 _MOORE_TAIL = 7             # Moore words come in chunks of at most 7! = 5,040 rows
 
 
-def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None):
+def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None, assembled=False):
     """The read-only std and dual arrays of the eigenvalues, sorted descending
     under the dual order, and their gauged eigenvectors (None without vectors).
 
@@ -307,26 +307,36 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None):
     forms no G: the dual parts are 0.0, X_d is zero, and without vectors
     the standard solve is rings.eigvalsh.  The eigenvectors are read-only
     column views of the gauged V and X_d.
+
+    An `assembled` matrix (spectra._assemble, a principal submatrix of one,
+    and every matrix with potentials) is Hermitian to the bit, so it is
+    neither scanned nor symmetrized: sym(A) is A.  Otherwise sym(A_d) is
+    formed after the standard solve, and sym(A_s) is dropped once the
+    solve holds it, so the solve's peak carries neither.
     """
-    _check_hermitian(a)
+    if not assembled:
+        _check_hermitian(a)
     ring = a.ring
     n = a.n_rows
     if n == 0:
         return _freeze(np.zeros(0)), _freeze(np.zeros(0)), (() if with_vectors else None)
 
+    def sym(part):
+        return part if assembled else rings.symmetrize(ring, part)
+
     if potentials is None:
-        solve_ring, s = ring, rings.symmetrize(ring, a.s)
+        solve_ring, s = ring, sym(a.s)
     else:
-        # assembled from the edges, the real part is symmetric to the bit
         solve_ring, s = RING_REAL, (a.s[..., 0] if ring == RING_QUATERNION else a.s).real
-    d = rings.symmetrize(ring, a.d)
-    has_dual = bool(d.any())
+    has_dual = bool(sym(a.d).any())
     lam_d = np.zeros(n)
     if has_dual or with_vectors:
         w, v = rings.eigh(solve_ring, s)
     else:
         w = rings.eigvalsh(solve_ring, s)
+    del s
     if has_dual:
+        d = sym(a.d)
         if potentials is None:
             g = rings.matmul(ring, rings.conj_transpose(ring, v), rings.matmul(ring, d, v))
         else:
@@ -384,7 +394,7 @@ def _check_hermitian(a: DualMatrix):
         raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.3e}")
 
 
-def _radius(a: DualMatrix) -> DualNumber:
+def _radius(a: DualMatrix, *, assembled=False) -> DualNumber:
     """The spectral radius of a dual Hermitian matrix: the largest
     |lambda| under the dual-number order, as spectral_radius takes it over
     the whole spectrum, from the standard eigenvalues and one end cluster.
@@ -396,12 +406,14 @@ def _radius(a: DualMatrix) -> DualNumber:
     under that rule can hold the radius.  The dual parts of such a cluster
     are the eigenvalues of its supplement W* A_d W, with W from
     _end_basis; at the top end the radius candidate is (max w, max dual),
-    at the bottom end (min w, min dual).
+    at the bottom end (min w, min dual).  An `assembled` matrix is taken
+    as _eigensystem takes one: no scan, no symmetrize.
     """
-    _check_hermitian(a)
+    if not assembled:
+        _check_hermitian(a)
     if a.n_rows == 0:
         raise BadParameterError("spectral radius of an empty spectrum")
-    s, d = rings.symmetrize(a.ring, a.s), a.d
+    s, d = (a.s if assembled else rings.symmetrize(a.ring, a.s)), a.d
     if a.ring == RING_QUATERNION:
         s, d = rings.embed_quaternion(s), rings.embed_quaternion(d)
     w = np.linalg.eigvalsh(s)

@@ -20,6 +20,7 @@ from dualgain import (
     KIND_LAPLACIAN,
     Quaternion,
     RINGS,
+    SizeCapExceededError,
     UnderlyingGraph,
     adjacency_matrix,
     check_interlacing,
@@ -894,3 +895,276 @@ class TestSupplementRoute:
             seen = self.solves(monkeypatch, lambda: spectrum(phi, kind, with_vectors=False))
             assert seen == ["eigvalsh"]
             assert self.solves(monkeypatch, lambda: spectrum(phi, kind)) == ["eigh"]
+
+
+def real_graph(n, edges):
+    """A real gain graph with neutral gains on the given edges."""
+    graph = UnderlyingGraph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    return GainGraph(graph, "real", (np.ones(graph.m), np.zeros(graph.m)))
+
+
+def dense_root(phi, kind):
+    """rho(A) or rho(D + A) from a dense eigvalsh."""
+    a = phi.graph.adjacency()
+    if kind == KIND_LAPLACIAN:
+        a += np.diag(phi.graph.degrees().astype(float))
+    return float(np.abs(np.linalg.eigvalsh(a)).max())
+
+
+def path_edges(n, start=0):
+    return [(start + i, start + i + 1) for i in range(n - 1)]
+
+
+def complete_edges(n, start=0):
+    return [(start + i, start + j) for i in range(n) for j in range(i + 1, n)]
+
+
+class TestPerronRoute:
+    """underlying_radius from _PERRON_FLOOR vertices on: certified Lanczos over
+    the edge arrays, or the dense eigvalsh where it certifies nothing."""
+
+    FLOOR = spectra_module._PERRON_FLOOR
+
+    @staticmethod
+    def routes(monkeypatch, phi, kind):
+        """underlying_radius(phi, kind) and what _perron_root returned on the
+        way (nothing when it did not run)."""
+        seen, perron = [], spectra_module._perron_root
+
+        def recording(*args):
+            seen.append(perron(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(spectra_module, "_perron_root", recording)
+        rho = underlying_radius(phi, kind)
+        monkeypatch.undo()
+        return rho, seen
+
+    @staticmethod
+    def eigh_sizes(monkeypatch):
+        """The orders of the matrices np.linalg.eigh receives from now on:
+        the tridiagonal T_k of each convergence test of the Perron route."""
+        sizes, eigh = [], np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        return sizes
+
+    def assert_agrees(self, monkeypatch, phi, certified=True):
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            rho, seen = self.routes(monkeypatch, phi, kind)
+            want = dense_root(phi, kind)
+            assert abs(rho - want) <= 1e-12 * max(1.0, want), (kind, rho, want)
+            if phi.n < self.FLOOR:
+                assert seen == []
+            else:
+                assert len(seen) == 1 and (seen[0] is not None) is certified, kind
+
+    def test_long_path_uses_up_the_budget(self, monkeypatch):
+        # the Krylov space of the all-ones vector on a path is its n / 2
+        # mirror-symmetric vectors, more than the step budget here
+        n = 2 * spectra_module._PERRON_STEPS + 100
+        self.assert_agrees(monkeypatch, real_graph(n, path_edges(n)), certified=False)
+
+    def test_path_within_the_budget_ends_at_its_krylov_dimension(self, monkeypatch):
+        # with every vector orthogonalised against the whole basis, the run
+        # breaks down exactly at the n / 2 mirror-symmetric dimensions
+        n = 2 * self.FLOOR + 40
+        phi = real_graph(n, path_edges(n))
+        sizes = self.eigh_sizes(monkeypatch)
+        for signless in (False, True):
+            sizes.clear()
+            assert spectra_module._perron_root(phi.graph, signless) is not None
+            assert sizes[-1] == n // 2
+        monkeypatch.undo()
+        self.assert_agrees(monkeypatch, phi)
+
+    @pytest.mark.parametrize("n", [FLOOR, FLOOR + 57])
+    def test_regular_graphs_take_one_step(self, n, monkeypatch):
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        circulant = [(i, (i + s) % n) for i in range(n) for s in (1, 2, 5)]
+        for edges in (cycle, circulant):
+            phi = real_graph(n, edges)
+            sizes = self.eigh_sizes(monkeypatch)
+            for signless in (False, True):
+                sizes.clear()
+                degree = len(edges) // n * 2
+                assert spectra_module._perron_root(phi.graph, signless) == pytest.approx(
+                    degree * (2 if signless else 1), rel=1e-14)
+                assert sizes == [1]
+            monkeypatch.undo()
+            self.assert_agrees(monkeypatch, phi)
+
+    def test_stars_complete_and_complete_bipartite(self, monkeypatch):
+        n = self.FLOOR + 3
+        a = 37
+        bipartite = [(i, j) for i in range(a) for j in range(a, n)]
+        for edges in ([(0, i) for i in range(1, n)], complete_edges(n), bipartite):
+            self.assert_agrees(monkeypatch, real_graph(n, edges))
+
+    def test_random_graphs_at_and_below_the_floor(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        for n in (self.FLOOR - 1, self.FLOOR, 2 * self.FLOOR):
+            for extra in (n // 2, 2 * n):
+                graph = random_connected_graph(rng, n, extra)
+                self.assert_agrees(monkeypatch, real_graph(n, graph.edge_array))
+
+    def test_disconnected_unions(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        n = self.FLOOR
+        # a later component holds rho; the path's Ritz entries vanish and
+        # its row sums (at most 2) bound its root
+        self.assert_agrees(monkeypatch, real_graph(n + 30, path_edges(n) + complete_edges(30, n)))
+        # two copies of one graph: x > 0 on both, each bracketed on its own
+        tree = random_connected_graph(rng, n, n).edge_array
+        self.assert_agrees(monkeypatch, real_graph(2 * n, np.concatenate((tree, tree + n))))
+        # the star's largest row sum (n - 1, or 2 (n - 1) signless) exceeds
+        # the root of the later K_100, its own root does not: not
+        # certified, so the dense route answers
+        star = [(0, i) for i in range(1, n)]
+        self.assert_agrees(monkeypatch, real_graph(n + 100, star + complete_edges(100, n)),
+                           certified=False)
+
+    def test_isolated_vertices_edgeless_graphs_and_one_vertex(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        graph = random_connected_graph(rng, self.FLOOR, self.FLOOR)
+        self.assert_agrees(monkeypatch, real_graph(self.FLOOR + 15, graph.edge_array))
+        for n in (1, self.FLOOR - 1, self.FLOOR):
+            phi = real_graph(n, [])
+            self.assert_agrees(monkeypatch, phi)
+            assert underlying_radius(phi, KIND_LAPLACIAN) == 0.0
+
+    def test_basis_stays_within_its_memory_share(self, monkeypatch):
+        # with memory for 20 rows the run stops there uncertified, and the
+        # dense route is refused before it allocates
+        rng = np.random.default_rng(52)
+        n = 2 * self.FLOOR
+        phi = real_graph(n, random_connected_graph(rng, n, n).edge_array)
+        monkeypatch.setattr(rings, "_physical_memory", lambda: 20 * 8 * n * rings._DENSE_ARRAYS)
+        sizes = self.eigh_sizes(monkeypatch)
+        assert spectra_module._perron_root(phi.graph, False) is None and max(sizes) == 20
+        with pytest.raises(SizeCapExceededError):
+            underlying_radius(phi)
+
+    @pytest.mark.parametrize("shift", [1e-4, -1e-4])
+    def test_bracket_refuses_a_wrong_ritz_value(self, shift, monkeypatch):
+        # a top Ritz value moved off the Perron root, with the residual test
+        # still passing, must not be returned: the dense route answers
+        rng = np.random.default_rng(49)
+        phi = real_graph(2 * self.FLOOR, random_connected_graph(rng, 2 * self.FLOOR, 400).edge_array)
+        eigh = np.linalg.eigh
+
+        def moved(a, *args, **kwargs):
+            w, v = eigh(a, *args, **kwargs)
+            w[-1] *= 1.0 + shift
+            return w, v
+
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            want = dense_root(phi, kind)
+            monkeypatch.setattr(np.linalg, "eigh", moved)
+            rho, seen = self.routes(monkeypatch, phi, kind)
+            assert seen == [None] and abs(rho - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_radius_report_takes_one_dense_solve(self, ring, monkeypatch):
+        # the gain matrix's eigvalsh (its 2n embedding for quaternions) and
+        # nothing dense for rho(G)
+        rng = np.random.default_rng(50)
+        n = self.FLOOR
+        phi = random_gain_graph(rng, random_connected_graph(rng, n, 2 * n), ring)
+        width = 2 * n if ring == "quaternion" else n
+        for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+            want = dense_root(phi, kind)
+            seen, eigvalsh = [], np.linalg.eigvalsh
+
+            def recording(a, *args, **kwargs):
+                seen.append(a.shape)
+                return eigvalsh(a, *args, **kwargs)
+
+            def refuse(graph):
+                raise AssertionError("a dense A(G) was built")
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+            monkeypatch.setattr(UnderlyingGraph, "adjacency", refuse)
+            report = radius_report(phi, kind)
+            monkeypatch.undo()
+            assert [s for s in seen if s[0] >= n] == [(width, width)]
+            assert abs(report.rho_graph - want) <= 1e-12 * want
+            # below the floor rho(G) takes its own dense solve
+            monkeypatch.setattr(spectra_module, "_PERRON_FLOOR", n + 1)
+            monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+            seen.clear()
+            radius_report(phi, kind)
+            monkeypatch.undo()
+            assert [s for s in seen if s[0] >= n] == [(width, width), (n, n)]
+
+
+class TestAssembledMatrices:
+    """Matrices that _assemble builds are Hermitian to the bit, so spectra,
+    interlacing checks and radius reports neither scan nor symmetrize them;
+    a caller's matrix keeps both."""
+
+    @staticmethod
+    def graphs(ring):
+        rng = np.random.default_rng(51)
+        yield random_gain_graph(rng, random_connected_graph(rng, 30, 40), ring)
+        yield cycle_graph(7, random_unit_scalar(rng, ring))
+        yield GainGraph(UnderlyingGraph(5), ring, {})
+        n = spectra_module._REAL_FORM_FLOOR
+        balanced = random_balanced_gain_graph(rng, random_connected_graph(rng, n, n), ring)
+        yield balanced
+        yield balanced.negate()
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("kind", [KIND_ADJACENCY, KIND_LAPLACIAN])
+    def test_assembled_defect_is_exactly_zero(self, ring, kind):
+        forms = 0
+        for phi in self.graphs(ring):
+            matrix, theta = spectra_module._real_form(phi, kind)
+            forms += theta is not None
+            for m in (matrix, gain_matrix(phi, kind)):
+                assert m.hermitian_defect() == 0.0
+        assert forms == (0 if ring == "real" else 2)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_no_scan_and_no_symmetrize(self, ring, monkeypatch):
+        parts, scans, touched = [], [], []
+        makers = ((spectra_module, "_assemble"), (linalg_module, "principal_submatrix"))
+
+        def keeping(make):
+            def wrapper(*args):
+                matrix = make(*args)
+                parts.extend((matrix.s, matrix.d))
+                return matrix
+            return wrapper
+
+        def scan(matrix):
+            scans.append(matrix.shape)
+            return 0.0
+
+        def symmetrize(r, arr, _sym=rings.symmetrize):
+            touched.extend(arr.shape[:2] for part in parts if arr is part)
+            return _sym(r, arr)
+
+        for phi in self.graphs(ring):
+            n = phi.n
+            for module, name in makers:
+                monkeypatch.setattr(module, name, keeping(getattr(module, name)))
+            monkeypatch.setattr(linalg_module.DualMatrix, "hermitian_defect", scan)
+            monkeypatch.setattr(rings, "symmetrize", symmetrize)
+            for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
+                spectrum(phi, kind)
+                spectrum(phi, kind, with_vectors=False)
+                check_interlacing(phi, range(n - 1), kind)
+                radius_report(phi, kind)
+            # five matrices per kind, each part of each seen
+            assert scans == [] and touched == [] and len(parts) == 2 * 2 * 5
+            hermitian_eigendecomposition(adjacency_matrix(phi))
+            # sym(A_s), sym(A_d) for the has_dual test and again after the solve
+            assert scans == [(n, n)] and touched == [(n, n)] * (3 if phi.dual.any() else 2)
+            monkeypatch.undo()
+            for seen in (parts, scans, touched):
+                seen.clear()
