@@ -162,11 +162,27 @@ class DualVector(_DualArray):
 
 
 class DualMatrix(_DualArray):
-    """A dense matrix of dual scalars with a uniform ring tag."""
+    """A dense matrix of dual scalars with a uniform ring tag.
 
-    __slots__ = ()
+    `_hermitian` marks a matrix built Hermitian to the bit (the gain
+    matrices of spectra._assemble and their principal submatrices): the
+    solvers neither scan nor symmetrize it.  Every other matrix, a caller's
+    or the result of arithmetic, is unmarked.
+    """
+
+    __slots__ = ("_hermitian",)
     _NDIM = 2
     _NOUN = "matrix"
+
+    def __init__(self, ring, s, d=None):
+        super().__init__(ring, s, d)
+        self._hermitian = False
+
+    @classmethod
+    def _adopt(cls, ring, s, d, hermitian=False):
+        out = super()._adopt(ring, s, d)
+        out._hermitian = hermitian
+        return out
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -242,7 +258,7 @@ def principal_submatrix(a: DualMatrix, subset) -> DualMatrix:
     """Rows and columns restricted to a vertex subset (in sorted order)."""
     keep = sorted(set(int(i) for i in subset))
     idx = np.ix_(keep, keep)
-    return DualMatrix._adopt(a.ring, a.s[idx], a.d[idx])
+    return DualMatrix._adopt(a.ring, a.s[idx], a.d[idx], hermitian=a._hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +301,7 @@ _MOORE_SIZE_CAP = 9         # the permutation sum takes n! terms
 _MOORE_TAIL = 7             # Moore words come in chunks of at most 7! = 5,040 rows
 
 
-def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None, assembled=False):
+def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None):
     """The read-only std and dual arrays of the eigenvalues, sorted descending
     under the dual order, and their gauged eigenvectors (None without vectors).
 
@@ -308,27 +324,21 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None, assemble
     the standard solve is rings.eigvalsh.  The eigenvectors are read-only
     column views of the gauged V and X_d.
 
-    An `assembled` matrix (spectra._assemble, a principal submatrix of one,
-    and every matrix with potentials) is Hermitian to the bit, so it is
-    neither scanned nor symmetrized: sym(A) is A.  Otherwise sym(A_d) is
-    formed after the standard solve, and sym(A_s) is dropped once the
-    solve holds it, so the solve's peak carries neither.
+    sym(A_s) and sym(A_d) come from _hermitian_parts; sym(A_s) is dropped
+    once the solve holds it.
     """
-    if not assembled:
-        _check_hermitian(a)
+    s, d = _hermitian_parts(a)
     ring = a.ring
     n = a.n_rows
     if n == 0:
         return _freeze(np.zeros(0)), _freeze(np.zeros(0)), (() if with_vectors else None)
 
-    def sym(part):
-        return part if assembled else rings.symmetrize(ring, part)
-
     if potentials is None:
-        solve_ring, s = ring, sym(a.s)
+        solve_ring = ring
     else:
-        solve_ring, s = RING_REAL, (a.s[..., 0] if ring == RING_QUATERNION else a.s).real
-    has_dual = bool(sym(a.d).any())
+        # the switched A_s is real to rounding: one real solve of its real part
+        solve_ring, s = RING_REAL, (s[..., 0] if ring == RING_QUATERNION else s).real
+    has_dual = bool(d.any())
     lam_d = np.zeros(n)
     if has_dual or with_vectors:
         w, v = rings.eigh(solve_ring, s)
@@ -336,7 +346,6 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None, assemble
         w = rings.eigvalsh(solve_ring, s)
     del s
     if has_dual:
-        d = sym(a.d)
         if potentials is None:
             g = rings.matmul(ring, rings.conj_transpose(ring, v), rings.matmul(ring, d, v))
         else:
@@ -387,6 +396,10 @@ def _eigensystem(a: DualMatrix, *, with_vectors: bool, potentials=None, assemble
 
 
 def _check_hermitian(a: DualMatrix):
+    """Refuse a matrix that is not square or not Hermitian within
+    _HERMITIAN_TOL; a matrix built Hermitian to the bit is not scanned."""
+    if a._hermitian:
+        return
     if a.n_rows != a.n_cols:
         raise NotHermitianError("matrix is not square")
     defect = a.hermitian_defect()
@@ -394,7 +407,17 @@ def _check_hermitian(a: DualMatrix):
         raise NotHermitianError(f"hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.3e}")
 
 
-def _radius(a: DualMatrix, *, assembled=False) -> DualNumber:
+def _hermitian_parts(a: DualMatrix):
+    """The parts of a dual Hermitian matrix as the solvers take them: its
+    own parts when it is built Hermitian to the bit, otherwise sym(A_s) and
+    sym(A_d) after the defect check."""
+    _check_hermitian(a)
+    if a._hermitian:
+        return a.s, a.d
+    return rings.symmetrize(a.ring, a.s), rings.symmetrize(a.ring, a.d)
+
+
+def _radius(a: DualMatrix) -> DualNumber:
     """The spectral radius of a dual Hermitian matrix: the largest
     |lambda| under the dual-number order, as spectral_radius takes it over
     the whole spectrum, from the standard eigenvalues and one end cluster.
@@ -406,14 +429,12 @@ def _radius(a: DualMatrix, *, assembled=False) -> DualNumber:
     under that rule can hold the radius.  The dual parts of such a cluster
     are the eigenvalues of its supplement W* A_d W, with W from
     _end_basis; at the top end the radius candidate is (max w, max dual),
-    at the bottom end (min w, min dual).  An `assembled` matrix is taken
-    as _eigensystem takes one: no scan, no symmetrize.
+    at the bottom end (min w, min dual).  The parts come from
+    _hermitian_parts.
     """
-    if not assembled:
-        _check_hermitian(a)
+    s, d = _hermitian_parts(a)
     if a.n_rows == 0:
         raise BadParameterError("spectral radius of an empty spectrum")
-    s, d = (a.s if assembled else rings.symmetrize(a.ring, a.s)), a.d
     if a.ring == RING_QUATERNION:
         s, d = rings.embed_quaternion(s), rings.embed_quaternion(d)
     w = np.linalg.eigvalsh(s)

@@ -89,7 +89,8 @@ class Spectrum:
 def _assemble(phi: GainGraph, kind, std, dual) -> DualMatrix:
     """The matrix of `kind` with the gain arrays std and dual on phi's edges,
     filled by fancy indexing: a_ij = gain(i -> j) on edges, and for the
-    Laplacian D - A with D the (real) degree diagonal."""
+    Laplacian D - A with D the (real) degree diagonal.  a_ji is the exact
+    conjugate of a_ij, so the matrix is Hermitian to the bit and marked so."""
     n, ring = phi.n, phi.ring
     rings.check_dense_size(ring, n)
     u, v = phi.graph.edge_array.T
@@ -105,7 +106,7 @@ def _assemble(phi: GainGraph, kind, std, dual) -> DualMatrix:
         diag = np.arange(n)
         index = (diag, diag, 0) if ring == RING_QUATERNION else (diag, diag)
         parts[0][index] += phi.graph.degrees()
-    return DualMatrix._adopt(ring, *parts)
+    return DualMatrix._adopt(ring, *parts, hermitian=True)
 
 
 def adjacency_matrix(phi: GainGraph) -> DualMatrix:
@@ -166,7 +167,7 @@ def spectrum(phi: GainGraph, kind: str = KIND_ADJACENCY, *,
     arithmetic (_real_form)."""
     matrix, theta = _real_form(phi, kind)
     return Spectrum(kind, *linalg._eigensystem(matrix, with_vectors=with_vectors,
-                                               potentials=theta, assembled=True))
+                                               potentials=theta))
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +284,13 @@ def check_interlacing(phi: GainGraph, subset, kind: str = KIND_ADJACENCY) -> Int
         raise BadParameterError("subset must be nonempty")
     matrix, theta = _real_form(phi, kind)
     lam = Spectrum(kind, *linalg._eigensystem(matrix, with_vectors=False,
-                                              potentials=theta, assembled=True)).values
+                                              potentials=theta)).values
     # the principal submatrix of the switched matrix is the switched one;
     # rebinding frees the full matrix before the second solve
     matrix = linalg.principal_submatrix(matrix, subset)
     theta = None if theta is None else theta[list(subset)]
     mu = Spectrum(kind, *linalg._eigensystem(matrix, with_vectors=False,
-                                             potentials=theta, assembled=True)).values
+                                             potentials=theta)).values
     n, k = len(lam), len(mu)
     upper = tuple(dual_geq(lam[i], mu[i], _INTERLACING_SLACK) for i in range(k))
     lower = tuple(dual_geq(mu[i], lam[n - k + i], _INTERLACING_SLACK) for i in range(k))
@@ -335,26 +336,30 @@ class RadiusReport(_Record):
 
 
 # The Perron route of underlying_radius (a wrong floor or budget costs time,
-# not accuracy).  Degree-6 random graphs, both kinds, medians of 60 over 4 graphs
-# per n, 2-vCPU x86-64, Lanczos against dense eigvalsh: n = 150 1.39 against
-# 1.07 ms, n = 175 1.52 against 1.58 ms, n = 200 2.02 against 2.18 ms, n = 256
-# 1.77 against 3.70 ms.  Steps to a certified root: 33-121 for random graphs
-# of average degree 3-12 at n = 200-20,000, 151 for the 60 x 60 grid; a
-# 20,000-vertex path spends all 300 in 0.57 s.  The widest upper end seen on
-# those graphs was theta (1 + 2.3e-7), degree 3, n = 20,000, signless.
+# not accuracy).  Degree-6 random graphs, both kinds, medians of 60 over 4
+# graphs per n, 2-vCPU x86-64, Lanczos against dense eigvalsh: n = 150 1.39
+# against 1.07 ms, n = 175 1.52 against 1.58 ms, n = 200 2.02 against 2.18 ms,
+# n = 256 1.77 against 3.70 ms.  Least steps to a certified root on degree-6
+# random graphs of n = 210, 450 and 540, 80 each: at most 47, 57 and 58.  The
+# cost of k steps that certify nothing grows as k^3, the convergence tests on
+# T_k dominating.  Paths spend their whole budget; medians against dense
+# eigvalsh at n = 176-1,200: n / 3 steps take 0.9-1.7 times the dense time,
+# n / 4 steps 0.54-0.74 times.  300 steps take 0.2 times at n = 2,000, and
+# 0.6 s at n = 20,000, where the dense route is refused.
 _PERRON_FLOOR = 176     # least n that tries the Lanczos route
-_PERRON_STEPS = 300     # Lanczos steps before the dense route takes over
-_PERRON_WIDTH = 1e-6    # the bracket may reach this far past theta, times max(1, theta)
+_PERRON_STEPS = 300     # most Lanczos steps before the dense route takes over,
+_PERRON_SHARE = 4       # and at most n / _PERRON_SHARE of them
+_PERRON_WIDTH = _EQUALITY_TOL / 10      # how far the bracket of rho may reach from theta
 
 
 def underlying_radius(phi: GainGraph, kind: str = KIND_ADJACENCY) -> float:
     """rho_A(G) for the adjacency kind, rho_Q(G) = rho(D + A) for the
     Laplacian kind: the Perron root of a nonnegative matrix.
 
-    From _PERRON_FLOOR vertices on it is the certified Lanczos root of
-    _perron_root, with no dense matrix.  Below the floor, or when that
-    route certifies nothing within its step budget, it is max |w| of a
-    dense eigvalsh, which rings.check_dense_size may refuse.
+    From _PERRON_FLOOR vertices on it is the Lanczos root of _perron_root,
+    certified within _PERRON_WIDTH, with no dense matrix.  Below the floor,
+    or when that route certifies nothing within its step budget, it is
+    max |w| of a dense eigvalsh, which rings.check_dense_size may refuse.
     """
     _check_kind(kind)
     graph, n = phi.graph, phi.n
@@ -382,9 +387,11 @@ def _perron_root(graph, signless):
     The run stops when the top Ritz residual |beta_k s_k| of the
     tridiagonal T_k is at rounding level, eps max(1, theta), tested after
     steps 8, 10, 12, 15, ..., each about k / 4 after the last, and where
-    beta breaks down.  It gives up after min(_PERRON_STEPS, n) steps, or
-    where the basis would take more memory than one of the
-    rings._DENSE_ARRAYS arrays of a dense solve may.
+    beta breaks down.  It gives up after min(_PERRON_STEPS, n /
+    _PERRON_SHARE) steps, so that a run which certifies nothing costs less
+    than the dense solve that follows it, or where the basis would take
+    more memory than one of the rings._DENSE_ARRAYS arrays of a dense
+    solve may.
 
     The Ritz value theta is accepted only inside a bracket of the root rho
     that its Ritz vector x gives.  The lower end is the Rayleigh quotient
@@ -395,8 +402,12 @@ def _perron_root(graph, signless):
     elsewhere (a component whose root is below theta, where x vanishes to
     rounding) at most its largest row sum.  rho is the largest component
     root, so theta is accepted when the lower end is at least theta - tol
-    and every upper end at most theta + tol, tol = _PERRON_WIDTH max(1,
-    theta).
+    and every upper end at most theta + tol, tol = _PERRON_WIDTH, a tenth
+    of the equality tolerance of radius_report: an accepted theta is within
+    tol of rho.  Perron vectors whose entries fall to rounding level leave
+    the upper end open wider than that (random recursive trees, the
+    signless kind of sparse random graphs of many thousand vertices); those
+    graphs take the dense route.
     """
     n = graph.n
     if graph.m == 0:
@@ -409,7 +420,7 @@ def _perron_root(graph, signless):
         y = np.bincount(heads, weights=x[tails], minlength=n)
         return y + degrees * x if signless else y
 
-    steps = min(_PERRON_STEPS, n)
+    steps = min(_PERRON_STEPS, n // _PERRON_SHARE)
     physical = rings._physical_memory()
     if physical is not None:
         steps = min(steps, physical // (rings._DENSE_ARRAYS * 8 * n))
@@ -449,11 +460,11 @@ def _perron_root(graph, signless):
 
 def _bracketed(graph, apply, theta, x, rows):
     """Whether the Ritz vector x brackets the Perron root of M (x -> M x
-    is `apply`, `rows` its row sums) within tol of theta (see _perron_root)."""
+    is `apply`, `rows` its row sums) within _PERRON_WIDTH of theta (see
+    _perron_root)."""
     x = x if x.sum() > 0 else -x
     y = apply(x)
-    tol = _PERRON_WIDTH * max(1.0, theta)
-    if (x @ y) / (x @ x) < theta - tol:
+    if (x @ y) / (x @ x) < theta - _PERRON_WIDTH:
         return False
     trees = graph._bfs_forest()[2]
     order = np.fromiter(itertools.chain.from_iterable(trees), np.int64, graph.n)
@@ -462,20 +473,19 @@ def _bracketed(graph, apply, theta, x, rows):
     on[order] = np.repeat(np.minimum.reduceat(x[order], np.cumsum(sizes) - sizes) > 0, sizes)
     # (M x)_i / x_i where x > 0 on i's whole component, the row sum of M elsewhere
     upper = np.divide(y, x, out=rows.copy(), where=on)
-    return upper.max() <= theta + tol
+    return upper.max() <= theta + _PERRON_WIDTH
 
 
 def radius_report(phi: GainGraph, kind: str = KIND_ADJACENCY) -> RadiusReport:
     """Radius, bounds and equality of `phi`; balance is decided under `phi.tol`.
 
     The radius takes the standard eigenvalues and the supplement of one end
-    cluster (linalg._radius, on the assembled matrix as it stands), not the
-    whole dual spectrum; rho(G) needs no dense matrix from _PERRON_FLOOR
-    vertices on (underlying_radius); balance and antibalance come from one
-    pass over the graph.
+    cluster (linalg._radius), not the whole dual spectrum; rho(G) needs no
+    dense matrix from _PERRON_FLOOR vertices on (underlying_radius);
+    balance and antibalance come from one pass over the graph.
     """
     _check_kind(kind)
-    rho_gain = linalg._radius(gain_matrix(phi, kind), assembled=True)
+    rho_gain = linalg._radius(gain_matrix(phi, kind))
     rho_graph = underlying_radius(phi, kind)
     delta = float(phi.graph.max_degree())
     delta_bound = delta if kind == KIND_ADJACENCY else 2.0 * delta

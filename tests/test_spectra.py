@@ -954,6 +954,8 @@ class TestPerronRoute:
         return sizes
 
     def assert_agrees(self, monkeypatch, phi, certified=True):
+        """Both kinds agree with the dense root; from the floor on the route
+        ran once and certified, or did not (False), or either (None)."""
         for kind in (KIND_ADJACENCY, KIND_LAPLACIAN):
             rho, seen = self.routes(monkeypatch, phi, kind)
             want = dense_root(phi, kind)
@@ -961,26 +963,51 @@ class TestPerronRoute:
             if phi.n < self.FLOOR:
                 assert seen == []
             else:
-                assert len(seen) == 1 and (seen[0] is not None) is certified, kind
+                assert len(seen) == 1, kind
+                assert certified is None or (seen[0] is not None) is certified, kind
 
-    def test_long_path_uses_up_the_budget(self, monkeypatch):
+    @pytest.mark.parametrize("n", [FLOOR, 3 * FLOOR, 4 * spectra_module._PERRON_STEPS + 100])
+    def test_paths_use_up_the_budget(self, n, monkeypatch):
         # the Krylov space of the all-ones vector on a path is its n / 2
-        # mirror-symmetric vectors, more than the step budget here
-        n = 2 * spectra_module._PERRON_STEPS + 100
-        self.assert_agrees(monkeypatch, real_graph(n, path_edges(n)), certified=False)
+        # mirror-symmetric vectors, more than the budget of min(300, n / 4)
+        # steps: the run ends there uncertified and the dense route answers
+        phi = real_graph(n, path_edges(n))
+        budget = min(spectra_module._PERRON_STEPS, n // spectra_module._PERRON_SHARE)
+        sizes = self.eigh_sizes(monkeypatch)
+        for signless in (False, True):
+            sizes.clear()
+            assert spectra_module._perron_root(phi.graph, signless) is None
+            assert max(sizes) == budget
+        monkeypatch.undo()
+        self.assert_agrees(monkeypatch, phi, certified=False)
 
     def test_path_within_the_budget_ends_at_its_krylov_dimension(self, monkeypatch):
         # with every vector orthogonalised against the whole basis, the run
         # breaks down exactly at the n / 2 mirror-symmetric dimensions
         n = 2 * self.FLOOR + 40
         phi = real_graph(n, path_edges(n))
+        monkeypatch.setattr(spectra_module, "_PERRON_SHARE", 1)
         sizes = self.eigh_sizes(monkeypatch)
         for signless in (False, True):
             sizes.clear()
             assert spectra_module._perron_root(phi.graph, signless) is not None
             assert sizes[-1] == n // 2
         monkeypatch.undo()
-        self.assert_agrees(monkeypatch, phi)
+        self.assert_agrees(monkeypatch, phi, certified=False)
+
+    def test_budget_is_a_share_of_n(self, monkeypatch):
+        # a sparse graph at the floor needs more than its n / 4 steps: the
+        # dense route answers; with n steps allowed the route certifies
+        rng = np.random.default_rng(46)
+        n = self.FLOOR
+        phi = real_graph(n, random_connected_graph(rng, n, n // 2).edge_array)
+        sizes = self.eigh_sizes(monkeypatch)
+        assert spectra_module._perron_root(phi.graph, False) is None
+        assert max(sizes) == n // spectra_module._PERRON_SHARE
+        monkeypatch.setattr(spectra_module, "_PERRON_SHARE", 1)
+        sizes.clear()
+        rho = spectra_module._perron_root(phi.graph, False)
+        assert max(sizes) > n // 4 and abs(rho - dense_root(phi, KIND_ADJACENCY)) <= 1e-12 * rho
 
     @pytest.mark.parametrize("n", [FLOOR, FLOOR + 57])
     def test_regular_graphs_take_one_step(self, n, monkeypatch):
@@ -1006,11 +1033,14 @@ class TestPerronRoute:
             self.assert_agrees(monkeypatch, real_graph(n, edges))
 
     def test_random_graphs_at_and_below_the_floor(self, monkeypatch):
+        # average degree about 3 and 6; the sparser graphs at the floor may
+        # need more steps than the budget (test_budget_is_a_share_of_n)
         rng = np.random.default_rng(46)
         for n in (self.FLOOR - 1, self.FLOOR, 2 * self.FLOOR):
             for extra in (n // 2, 2 * n):
                 graph = random_connected_graph(rng, n, extra)
-                self.assert_agrees(monkeypatch, real_graph(n, graph.edge_array))
+                certified = None if extra < n and n < 2 * self.FLOOR else True
+                self.assert_agrees(monkeypatch, real_graph(n, graph.edge_array), certified)
 
     def test_disconnected_unions(self, monkeypatch):
         rng = np.random.default_rng(47)
@@ -1049,10 +1079,11 @@ class TestPerronRoute:
         with pytest.raises(SizeCapExceededError):
             underlying_radius(phi)
 
-    @pytest.mark.parametrize("shift", [1e-4, -1e-4])
+    @pytest.mark.parametrize("shift", [1e-4, -1e-4, 1e-9, -1e-9])
     def test_bracket_refuses_a_wrong_ritz_value(self, shift, monkeypatch):
         # a top Ritz value moved off the Perron root, with the residual test
-        # still passing, must not be returned: the dense route answers
+        # still passing, must not be returned: the dense route answers.  A
+        # move of 1e-9 theta (theta 5.5 and 17.4 here) is past _PERRON_WIDTH
         rng = np.random.default_rng(49)
         phi = real_graph(2 * self.FLOOR, random_connected_graph(rng, 2 * self.FLOOR, 400).edge_array)
         eigh = np.linalg.eigh
@@ -1162,9 +1193,16 @@ class TestAssembledMatrices:
                 radius_report(phi, kind)
             # five matrices per kind, each part of each seen
             assert scans == [] and touched == [] and len(parts) == 2 * 2 * 5
-            hermitian_eigendecomposition(adjacency_matrix(phi))
-            # sym(A_s), sym(A_d) for the has_dual test and again after the solve
-            assert scans == [(n, n)] and touched == [(n, n)] * (3 if phi.dual.any() else 2)
+            marked = adjacency_matrix(phi)
+            hermitian_eigendecomposition(marked)
+            assert scans == [] and touched == []
+            # a caller's matrix and the result of arithmetic are unmarked:
+            # one scan and one symmetrize of each part per solve
+            for caller in (linalg_module.DualMatrix(ring, marked.s, marked.d), -marked):
+                parts.extend((caller.s, caller.d))
+                hermitian_eigendecomposition(caller)
+                linalg_module._radius(caller)
+            assert scans == [(n, n)] * 4 and touched == [(n, n)] * 8
             monkeypatch.undo()
             for seen in (parts, scans, touched):
                 seen.clear()
